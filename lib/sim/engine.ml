@@ -19,37 +19,92 @@ type 'state result = {
 }
 
 (* Enabled rule of every process, or None — the engine's hot path.  [run]
-   maintains this table persistently (see [refresh_full] / [refresh_moved]);
-   the standalone [enabled_table] builds it from scratch for the public
-   one-shot [step]. *)
+   maintains this table persistently (see [refresh]); the standalone
+   [enabled_table] builds it from scratch for the public one-shot [step]. *)
 let enabled_table algo g cfg =
   Array.init (Graph.n g) (fun u ->
       Algorithm.enabled_rule algo (Algorithm.view g cfg u))
 
-let refresh_full algo g cfg table =
-  for u = 0 to Graph.n g - 1 do
-    table.(u) <- Algorithm.enabled_rule algo (Algorithm.view g cfg u)
-  done
+(* ------------------------- scheduler counters -------------------------- *)
 
-(* Dirty-set refresh: a process's enabled rule depends only on its view (its
-   own state plus its neighbors' states), and a step changes only the movers'
-   states — so only the closed neighborhoods of the movers can change
-   enabled status.  [stamp]/[gen] deduplicate processes shared by several
-   movers' neighborhoods without any per-step allocation. *)
-let refresh_moved algo g cfg table stamp gen moved =
-  incr gen;
-  let gen = !gen in
-  let touch u =
-    if stamp.(u) <> gen then begin
-      stamp.(u) <- gen;
-      table.(u) <- Algorithm.enabled_rule algo (Algorithm.view g cfg u)
-    end
-  in
-  List.iter
-    (fun (u, _rule) ->
-      touch u;
-      Array.iter touch (Graph.neighbors g u))
-    moved
+type sched_counters = {
+  c_touched : Metrics.counter;  (* dirty-set touch attempts *)
+  c_evals : Metrics.counter;  (* guard re-evaluations actually done *)
+  c_dedup : Metrics.counter;  (* touches skipped by the stamp (hit rate) *)
+  c_flips : Metrics.counter;  (* enabled-table churn: entries that changed *)
+  h_refresh : Histogram.t;  (* per-step refresh size (evals) *)
+}
+
+let sched_counters p =
+  let m = Prof.metrics p in
+  let c_touched = Metrics.counter m "sched.touched" in
+  let c_evals = Metrics.counter m "sched.evals" in
+  let c_dedup = Metrics.counter m "sched.dedup_hits" in
+  let c_flips = Metrics.counter m "sched.table_flips" in
+  let h_refresh = Prof.histogram p "sched.refresh_size" in
+  { c_touched; c_evals; c_dedup; c_flips; h_refresh }
+
+let publish_sched s ~touched ~evals ~flips =
+  Metrics.add s.c_touched touched;
+  Metrics.add s.c_evals evals;
+  Metrics.add s.c_dedup (touched - evals);
+  Metrics.add s.c_flips flips;
+  Histogram.record s.h_refresh evals
+
+(* One step's refresh counts, kept whether or not a profiler listens. *)
+type counts = {
+  mutable touched : int;
+  mutable evals : int;
+  mutable flips : int;
+}
+
+let same_entry before after =
+  match (before, after) with
+  | None, None -> true
+  | Some a, Some b -> String.equal a.Algorithm.rule_name b.Algorithm.rule_name
+  | _ -> false
+
+(* Counting [sched.table_flips] costs a string compare per eval, which
+   shows on a [`Full] rescan, so only profiled runs ask for it ([flips]). *)
+let reeval ~flips algo g cfg table c u =
+  c.evals <- c.evals + 1;
+  let after = Algorithm.enabled_rule algo (Algorithm.view g cfg u) in
+  if flips && not (same_entry table.(u) after) then c.flips <- c.flips + 1;
+  table.(u) <- after
+
+(* Bring [table] up to date with [cfg] after a step.  [`Full] rescans
+   every process.  [`Incremental] is the dirty-set refresh: a process's
+   enabled rule depends only on its view (its own state plus its
+   neighbors' states), and a step changes only the movers' states — so only
+   the closed neighborhoods of the movers can change enabled status.
+   [stamp]/[gen] deduplicate processes shared by several movers'
+   neighborhoods without any per-step allocation.  [c] receives the step's
+   counts ([c.flips] stays 0 unless [flips]). *)
+let refresh ~flips scheduler algo g cfg table stamp gen moved c =
+  c.touched <- 0;
+  c.evals <- 0;
+  c.flips <- 0;
+  match scheduler with
+  | `Full ->
+      c.touched <- Graph.n g;
+      for u = 0 to Graph.n g - 1 do
+        reeval ~flips algo g cfg table c u
+      done
+  | `Incremental ->
+      incr gen;
+      let gen = !gen in
+      let touch u =
+        c.touched <- c.touched + 1;
+        if stamp.(u) <> gen then begin
+          stamp.(u) <- gen;
+          reeval ~flips algo g cfg table c u
+        end
+      in
+      List.iter
+        (fun (u, _rule) ->
+          touch u;
+          Array.iter touch (Graph.neighbors g u))
+        moved
 
 (* Sorted enabled list out of the table — an O(n) pointer scan, negligible
    next to guard evaluation. *)
@@ -66,7 +121,7 @@ let enabled_of_table table n =
    name.  Phase attribution is lap-based: [mark] is the last phase
    boundary; closing a phase is one clock read, one histogram record and
    one mutation — the whole per-step overhead with profiling on is 5 + k
-   clock reads for k movers, and exactly zero extra work with it off. *)
+   clock reads for k movers, and no clock read at all with it off. *)
 type prof_ctx = {
   p : Prof.t;
   scan : Prof.timer;  (* enabled-table scan + overlap check *)
@@ -78,16 +133,11 @@ type prof_ctx = {
   stop_check : Prof.timer;  (* the [stop] predicate *)
   rule_timers : (string, Prof.timer) Hashtbl.t;
   rule_moves : (string, Metrics.counter) Hashtbl.t;
-  c_touched : Metrics.counter;  (* dirty-set touch attempts *)
-  c_evals : Metrics.counter;  (* guard re-evaluations actually done *)
-  c_dedup : Metrics.counter;  (* touches skipped by the stamp (hit rate) *)
-  c_flips : Metrics.counter;  (* enabled-table churn: entries that changed *)
-  h_refresh : Histogram.t;  (* per-step refresh size (evals) *)
+  sched : sched_counters;
   mutable mark : int;
 }
 
 let make_prof_ctx p =
-  let m = Prof.metrics p in
   (* Bind every instrument before the record literal: record fields
      evaluate right-to-left, and registration order is what the profile
      summary (and `ssreset prof report`) displays — it must follow the
@@ -99,11 +149,7 @@ let make_prof_ctx p =
   let neutralize = Prof.timer p "phase.neutralize" in
   let callbacks = Prof.timer p "phase.callbacks" in
   let stop_check = Prof.timer p "phase.stop" in
-  let c_touched = Metrics.counter m "sched.touched" in
-  let c_evals = Metrics.counter m "sched.evals" in
-  let c_dedup = Metrics.counter m "sched.dedup_hits" in
-  let c_flips = Metrics.counter m "sched.table_flips" in
-  let h_refresh = Prof.histogram p "sched.refresh_size" in
+  let sched = sched_counters p in
   {
     p;
     scan;
@@ -115,11 +161,7 @@ let make_prof_ctx p =
     stop_check;
     rule_timers = Hashtbl.create 8;
     rule_moves = Hashtbl.create 8;
-    c_touched;
-    c_evals;
-    c_dedup;
-    c_flips;
-    h_refresh;
+    sched;
     mark = Prof.now_ns ();
   }
 
@@ -141,50 +183,6 @@ let rule_counter pc name =
     let c = Metrics.counter (Prof.metrics pc.p) ("moves." ^ name) in
     Hashtbl.replace pc.rule_moves name c;
     c
-
-let same_entry before after =
-  match (before, after) with
-  | None, None -> true
-  | Some a, Some b -> String.equal a.Algorithm.rule_name b.Algorithm.rule_name
-  | _ -> false
-
-(* Instrumented twins of [refresh_full] / [refresh_moved]: same table
-   writes in the same order (results stay bit-identical), plus the
-   scheduler counters the profile reports. *)
-let refresh_full_prof pc algo g cfg table =
-  let n = Graph.n g in
-  for u = 0 to n - 1 do
-    let before = table.(u) in
-    let after = Algorithm.enabled_rule algo (Algorithm.view g cfg u) in
-    table.(u) <- after;
-    if not (same_entry before after) then Metrics.incr pc.c_flips
-  done;
-  Metrics.add pc.c_evals n;
-  Histogram.record pc.h_refresh n
-
-let refresh_moved_prof pc algo g cfg table stamp gen moved =
-  incr gen;
-  let gen = !gen in
-  let evals = ref 0 in
-  let touch u =
-    Metrics.incr pc.c_touched;
-    if stamp.(u) <> gen then begin
-      stamp.(u) <- gen;
-      incr evals;
-      let before = table.(u) in
-      let after = Algorithm.enabled_rule algo (Algorithm.view g cfg u) in
-      table.(u) <- after;
-      if not (same_entry before after) then Metrics.incr pc.c_flips
-    end
-    else Metrics.incr pc.c_dedup
-  in
-  List.iter
-    (fun (u, _rule) ->
-      touch u;
-      Array.iter touch (Graph.neighbors g u))
-    moved;
-  Metrics.add pc.c_evals !evals;
-  Histogram.record pc.h_refresh !evals
 
 let assert_exclusive algorithm graph cfg enabled =
   List.iter
@@ -224,40 +222,30 @@ let step_with_table ~prof ~rng ~check_overlap ~on_enabled ~algorithm ~graph
       Daemon.check_selection ctx chosen;
       (match prof with Some pc -> lap pc pc.select | None -> ());
       let next = Array.copy cfg in
+      (* Per-rule attribution without extra clock reads: movers chain laps,
+         so their spans tile the apply phase exactly (the first mover's span
+         absorbs the configuration copy).  The phase total is derived from
+         the chain, not measured again. *)
+      let apply_start = match prof with Some pc -> pc.mark | None -> 0 in
       let moved =
-        match prof with
-        | None ->
-            List.map
-              (fun u ->
-                match table.(u) with
-                | Some r ->
-                    next.(u) <- r.Algorithm.action (Algorithm.view graph cfg u);
-                    (u, r.Algorithm.rule_name)
-                | None -> assert false)
-              chosen
-        | Some pc ->
-            (* Per-rule attribution without extra clock reads: movers chain
-               laps, so their spans tile the apply phase exactly (the first
-               mover's span absorbs the configuration copy).  The phase
-               total is derived from the chain, not measured again. *)
-            let apply_start = pc.mark in
-            let moved =
-              List.map
-                (fun u ->
-                  match table.(u) with
-                  | Some r ->
-                      let name = r.Algorithm.rule_name in
-                      next.(u) <-
-                        r.Algorithm.action (Algorithm.view graph cfg u);
-                      lap pc (rule_timer pc name);
-                      Metrics.incr (rule_counter pc name);
-                      (u, name)
-                  | None -> assert false)
-                chosen
-            in
-            Prof.record_span pc.apply (pc.mark - apply_start);
-            moved
+        List.map
+          (fun u ->
+            match table.(u) with
+            | Some r ->
+                let name = r.Algorithm.rule_name in
+                next.(u) <- r.Algorithm.action (Algorithm.view graph cfg u);
+                (match prof with
+                | Some pc ->
+                    lap pc (rule_timer pc name);
+                    Metrics.incr (rule_counter pc name)
+                | None -> ());
+                (u, name)
+            | None -> assert false)
+          chosen
       in
+      (match prof with
+      | Some pc -> Prof.record_span pc.apply (pc.mark - apply_start)
+      | None -> ());
       Some (next, moved)
 
 (* Each rng-less call gets a fresh state derived from [seed] (default 0):
@@ -302,6 +290,7 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
   let table = enabled_table algorithm graph cfg0 in
   let stamp = Array.make n 0 in
   let gen = ref 0 in
+  let counts = { touched = 0; evals = 0; flips = 0 } in
   (* Round accounting (§2.4): [pending] holds the processes enabled at the
      start of the current round that have neither executed a rule nor been
      neutralized yet.  When it empties, a round is complete. *)
@@ -353,14 +342,14 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
                bump_rule name;
                Hashtbl.remove pending u)
              moved;
-           (match (scheduler, prof_ctx) with
-           | `Full, None -> refresh_full algorithm graph next table
-           | `Full, Some pc -> refresh_full_prof pc algorithm graph next table
-           | `Incremental, None ->
-               refresh_moved algorithm graph next table stamp gen moved
-           | `Incremental, Some pc ->
-               refresh_moved_prof pc algorithm graph next table stamp gen moved);
-           (match prof_ctx with Some pc -> lap pc pc.refresh | None -> ());
+           refresh ~flips:(prof_ctx <> None) scheduler algorithm graph next
+             table stamp gen moved counts;
+           (match prof_ctx with
+           | Some pc ->
+               publish_sched pc.sched ~touched:counts.touched
+                 ~evals:counts.evals ~flips:counts.flips;
+               lap pc pc.refresh
+           | None -> ());
            (* Neutralization: pending processes that were enabled before the
               step (by definition of pending) and are disabled after it.
               Only the movers' closed neighborhoods can change enabled

@@ -69,21 +69,22 @@ val run :
     [scheduler] selects how enabled rules are recomputed between steps (see
     {!type:scheduler}); it affects wall-clock only, never results.
 
-    [prof] attaches a {!Ssreset_obs.Prof} profiler — pay-as-you-go like the
-    telemetry hooks: with it absent the step loop does zero extra work, and
-    results are bit-identical either way (asserted over the whole zoo by the
-    test suite).  With it present the run attributes wall time to the
+    [prof] attaches a {!Ssreset_obs.Prof} profiler.  There is one step
+    loop: it keeps the touch and eval counts in local ints on every run,
+    and only with a profiler attached does it read the clock, compare
+    table entries for [sched.table_flips] and write instruments.  Results
+    are bit-identical either way (asserted over the whole zoo by the test
+    suite).  With it present the run attributes wall time to the
     [phase.scan] / [phase.select] / [phase.apply] / [phase.refresh] /
-    [phase.neutralize] / [phase.callbacks] / [phase.stop] timers (lap-based:
-    consecutive laps tile the loop, so the phase totals sum to the loop's
-    wall time), attributes the apply phase to per-rule [rule.R] timers and
-    [moves.R] counters, counts scheduler internals ([sched.touched] /
-    [sched.evals] / [sched.dedup_hits] / [sched.table_flips], plus the
-    per-step [sched.refresh_size] histogram), adds [Gc.quick_stat] deltas
-    to the [gc.*] counters, accumulates the run's wall clock into the
-    [engine.wall_s] gauge, and calls {!Ssreset_obs.Prof.tick} per step so
-    windowed streaming works.  Instruments accumulate when several runs
-    share one profiler.
+    [phase.neutralize] / [phase.callbacks] / [phase.stop] timers
+    (lap-based: consecutive laps tile the loop, so the phase totals sum to
+    the loop's wall time), attributes the apply phase
+    to per-rule [rule.R] timers and [moves.R] counters, publishes the
+    scheduler counts once per step (see {!sched_counters}), adds
+    [Gc.quick_stat] deltas to the [gc.*] counters, accumulates the run's
+    wall clock into the [engine.wall_s] gauge, and calls
+    {!Ssreset_obs.Prof.tick} per step so windowed streaming works.
+    Instruments accumulate when several runs share one profiler.
 
     Telemetry hooks (both default to off, with zero per-step cost then):
     [on_step] receives, after each step, the sizes of the enabled and the
@@ -99,6 +100,24 @@ val run :
     the overlapping rules.  Rule overlap makes the rule-list priority order
     load-bearing (Lemma 5 assumes pairwise exclusion), so traced or debugged
     runs should enable this. *)
+
+(** {2 Scheduler counters}
+
+    The refresh layer's instruments, shared with the flat engine so both
+    report the same names: [sched.touched] (touch attempts; a [`Full]
+    rescan touches every process), [sched.evals] (guard re-evaluations),
+    [sched.dedup_hits] (touches the dirty-set stamp skipped, [touched -
+    evals]), [sched.table_flips] (enabled-rule entries that changed) and
+    the per-step [sched.refresh_size] histogram (evals). *)
+
+type sched_counters
+
+val sched_counters : Ssreset_obs.Prof.t -> sched_counters
+(** Registers (or returns) the five instruments on the profiler. *)
+
+val publish_sched :
+  sched_counters -> touched:int -> evals:int -> flips:int -> unit
+(** Add one step's counts and record its refresh size. *)
 
 val step :
   ?rng:Random.State.t ->

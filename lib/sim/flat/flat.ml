@@ -513,23 +513,19 @@ let movers_push b nf u r =
    phase is one clock read, one histogram record and one mutation.  Rule
    timers and move counters are dense arrays indexed by rule id — the flat
    path never looks an instrument up by name.  The [moves.R] / [rule.R] /
-   [phase.X] naming matches the classic engine, so `prof report`, windows
-   and the Proffile validator work unchanged on flat streams. *)
+   [phase.X] / [sched.*] naming matches the classic engine, so `prof
+   report`, windows and the Proffile validator work unchanged on flat
+   streams. *)
 type prof_ctx = {
   p : Prof.t;
   scan : Prof.timer;  (* initial full scan + per-round pending refills *)
   select : Prof.timer;  (* daemon selection + post-row buffering *)
   apply : Prof.timer;  (* write-back (derived from the rule-span chain) *)
   refresh : Prof.timer;  (* fused touch over the movers' neighborhoods *)
-  callbacks : Prof.timer;  (* on_step / heartbeat / window tick *)
+  callbacks : Prof.timer;  (* on_step / heartbeat / monitors / window tick *)
   rule_timers : Prof.timer array;
   rule_counters : Metrics.counter array;
-  c_touched : Metrics.counter;  (* touch attempts *)
-  c_evals : Metrics.counter;  (* guard re-evaluations actually done *)
-  c_dedup : Metrics.counter;  (* touches skipped by the stamp *)
-  c_flips : Metrics.counter;  (* enabled-rule entries that changed *)
-  h_refresh : Histogram.t;  (* per-step refresh size (evals) *)
-  c_legit_steps : Metrics.counter;  (* steps spent legitimate (availability) *)
+  sched : Engine.sched_counters;
   mutable mark : int;
 }
 
@@ -548,12 +544,7 @@ let make_prof_ctx pr rule_names =
   let rule_counters =
     Array.map (fun r -> Metrics.counter m ("moves." ^ r)) rule_names
   in
-  let c_touched = Metrics.counter m "sched.touched" in
-  let c_evals = Metrics.counter m "sched.evals" in
-  let c_dedup = Metrics.counter m "sched.dedup_hits" in
-  let c_flips = Metrics.counter m "sched.table_flips" in
-  let h_refresh = Prof.histogram pr "sched.refresh_size" in
-  let c_legit_steps = Metrics.counter m "obs.legit_steps" in
+  let sched = Engine.sched_counters pr in
   {
     p = pr;
     scan;
@@ -563,12 +554,7 @@ let make_prof_ctx pr rule_names =
     callbacks;
     rule_timers;
     rule_counters;
-    c_touched;
-    c_evals;
-    c_dedup;
-    c_flips;
-    h_refresh;
-    c_legit_steps;
+    sched;
     mark = Prof.now_ns ();
   }
 
@@ -594,21 +580,74 @@ type beat = {
   hb_moves_per_s : float;  (* over the last heartbeat interval *)
 }
 
-(* Latch the paper's complexity bounds from the flat counters: the 3n round
-   bound and the D·n² move bound of U∘SDR trip a named anomaly at most once
-   per run, like the classic runners' monitors. *)
-let trip_moves monitor ~moves_bound ~steps ~moves =
-  match (monitor, moves_bound) with
-  | Some m, Some bound when moves > bound ->
-      Monitor.trip m ~monitor:"moves-bound" ~step:steps ~value:moves ~bound ()
+(* The per-step epilogue both runners share: availability sampling (on the
+   illegitimate-node count the run maintains anyway), the heartbeat, and
+   the paper's complexity bounds latched from the flat counters — the 3n
+   round bound and the D·n² move bound of U∘SDR trip a named anomaly at
+   most once per run, like the classic runners' monitors. *)
+type observer = {
+  tracked : bool;  (* the spec has a legitimacy predicate *)
+  c_legit : Metrics.counter option;  (* obs.legit_steps, with a profiler *)
+  monitor : Monitor.t option;
+  rounds_bound : int option;
+  moves_bound : int option;
+  heartbeat : (int * (beat -> unit)) option;
+  mutable legit_steps : int;
+  mutable hb_last_t : float;
+  mutable hb_last_moves : int;
+}
+
+let make_observer ?prof ?monitor ?rounds_bound ?moves_bound ?heartbeat
+    ~tracked ~t0 () =
+  {
+    tracked;
+    c_legit =
+      Option.map
+        (fun pr -> Metrics.counter (Prof.metrics pr) "obs.legit_steps")
+        prof;
+    monitor;
+    rounds_bound;
+    moves_bound;
+    heartbeat;
+    legit_steps = 0;
+    hb_last_t = t0;
+    hb_last_moves = 0;
+  }
+
+let trip o name ~steps ~value bound =
+  match (o.monitor, bound) with
+  | Some m, Some bound when value > bound ->
+      Monitor.trip m ~monitor:name ~step:steps ~value ~bound ()
   | _ -> ()
 
-let trip_rounds monitor ~rounds_bound ~steps ~rounds =
-  match (monitor, rounds_bound) with
-  | Some m, Some bound when rounds > bound ->
-      Monitor.trip m ~monitor:"rounds-bound" ~step:steps ~value:rounds ~bound
-        ()
-  | _ -> ()
+let observe_step o ~nn ~steps ~moves ~rounds ~enabled ~illegit =
+  let legit = o.tracked && illegit = 0 in
+  if legit then begin
+    o.legit_steps <- o.legit_steps + 1;
+    Option.iter Metrics.incr o.c_legit
+  end;
+  (match o.heartbeat with
+  | Some (every, f) when every > 0 && steps mod every = 0 ->
+      let now = Unix.gettimeofday () in
+      let dt = now -. o.hb_last_t in
+      let dmoves = moves - o.hb_last_moves in
+      o.hb_last_t <- now;
+      o.hb_last_moves <- moves;
+      f
+        {
+          hb_steps = steps;
+          hb_moves = moves;
+          hb_enabled = enabled;
+          hb_legit = (if o.tracked then nn - illegit else -1);
+          hb_availability =
+            (if o.tracked then
+               float_of_int o.legit_steps /. float_of_int steps
+             else -1.);
+          hb_moves_per_s = (if dt > 0. then float_of_int dmoves /. dt else 0.);
+        }
+  | _ -> ());
+  trip o "moves-bound" ~steps ~value:moves o.moves_bound;
+  trip o "rounds-bound" ~steps ~value:rounds o.rounds_bound
 
 (* ---------------------------- sequential run --------------------------- *)
 
@@ -652,6 +691,10 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
       done
   | _ -> ());
   let stopping = stop_on_legitimate && legit_of <> None in
+  let obs =
+    make_observer ?prof ?monitor ?rounds_bound ?moves_bound ?heartbeat
+      ~tracked:(legit_of <> None) ~t0 ()
+  in
   let moves_per_process = Array.make nn 0 in
   let rule_moves = Array.make nr 0 in
   (* §2.4 pending set as stamp + generation + count: refill touches only
@@ -667,8 +710,44 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
     Bits.iter enabled (fun u -> pend_stamp.(u) <- g)
   in
   refill_pending ();
+  (* Fused refresh + neutralization + legitimacy of one touched process,
+     stamp-dedup'd like the classic incremental scheduler.  The scheduler
+     counts are plain ints, kept whether or not a profiler listens. *)
   let stamp = Array.make nn 0 in
   let gen = ref 0 in
+  let touches = ref 0 and evals = ref 0 and flips = ref 0 in
+  let touch v =
+    incr touches;
+    if stamp.(v) <> !gen then begin
+      stamp.(v) <- !gen;
+      incr evals;
+      let r = first_enabled ev v in
+      if r <> rule_of.(v) then begin
+        rule_of.(v) <- r;
+        incr flips
+      end;
+      if r >= 0 then begin
+        if Bits.add enabled v then incr en_count
+      end
+      else begin
+        if Bits.remove enabled v then decr en_count;
+        if pend_stamp.(v) = !pend_gen then begin
+          pend_stamp.(v) <- 0;
+          decr pend_count
+        end
+      end;
+      match (ev.legit, legit_of) with
+      | Some clo, Some la ->
+          let lg = clo () in
+          if lg <> la.(v) then begin
+            la.(v) <- lg;
+            illegit := !illegit + if lg then -1 else 1
+          end
+      | _ -> ()
+    end
+  in
+  let offsets = p.csr.Csr.offsets in
+  let nbrs = p.csr.Csr.nbrs in
   let select = make_select p rule_of daemon in
   let cursor = ref 0 in
   let mv = movers_make nf in
@@ -676,16 +755,6 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
   let steps_in_round = ref 0 in
   let steps = ref 0 in
   let total_moves = ref 0 in
-  (* Availability sampling rides on the incremental legitimate-node count
-     the run already maintains; the per-step cost (one compare) is only
-     paid when someone is observing. *)
-  let count_legit =
-    legit_of <> None
-    && (prof_ctx <> None || heartbeat <> None || monitor <> None)
-  in
-  let legit_steps = ref 0 in
-  let hb_last_t = ref t0 in
-  let hb_last_moves = ref 0 in
   let outcome = ref Engine.Step_limit in
   (* Everything since [run] began — evaluator compilation, the initial
      enabled/legitimacy scan, the first pending refill — is scan work. *)
@@ -731,127 +800,67 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
            let elist = ref [] in
            Bits.iter enabled (fun u -> elist := u :: !elist);
            List.iter push (select rng (List.rev !elist)));
-       (match prof_ctx with
-       | None ->
-           for k = 0 to mv.len - 1 do
-             let u = mv.mu.(k) in
-             for f = 0 to nf - 1 do
-               p.state.(f).(u) <- mv.mp.((k * nf) + f)
-             done
-           done
-       | Some pc ->
-           lap pc pc.select;
-           (* Per-rule attribution without extra clock reads: movers chain
-              laps, so their spans tile the apply phase exactly; the phase
-              total is derived from the chain, not measured again. *)
-           let apply_start = pc.mark in
-           for k = 0 to mv.len - 1 do
-             let u = mv.mu.(k) in
-             for f = 0 to nf - 1 do
-               p.state.(f).(u) <- mv.mp.((k * nf) + f)
-             done;
-             lap pc pc.rule_timers.(mv.mr.(k));
-             Metrics.incr pc.rule_counters.(mv.mr.(k))
-           done;
-           Prof.record_span pc.apply (pc.mark - apply_start));
-       incr steps;
-       incr steps_in_round;
+       (* Write-back and move accounting.  Per-rule attribution without
+          extra clock reads: movers chain laps, so their spans tile the
+          apply phase exactly; the phase total is derived from the chain,
+          not measured again. *)
+       let apply_start =
+         match prof_ctx with
+         | Some pc ->
+             lap pc pc.select;
+             pc.mark
+         | None -> 0
+       in
        for k = 0 to mv.len - 1 do
-         let u = mv.mu.(k) in
-         incr total_moves;
+         let u = mv.mu.(k) and r = mv.mr.(k) in
+         for f = 0 to nf - 1 do
+           p.state.(f).(u) <- mv.mp.((k * nf) + f)
+         done;
          moves_per_process.(u) <- moves_per_process.(u) + 1;
-         rule_moves.(mv.mr.(k)) <- rule_moves.(mv.mr.(k)) + 1;
+         rule_moves.(r) <- rule_moves.(r) + 1;
          if pend_stamp.(u) = !pend_gen then begin
            pend_stamp.(u) <- 0;
            decr pend_count
-         end
+         end;
+         match prof_ctx with
+         | Some pc ->
+             lap pc pc.rule_timers.(r);
+             Metrics.incr pc.rule_counters.(r)
+         | None -> ()
        done;
-       (* Fused refresh + neutralization + legitimacy over the movers'
-          closed neighborhoods — the only processes whose views changed.
-          Stamp-dedup'd like the classic incremental scheduler. *)
-       incr gen;
-       let g = !gen in
-       let offsets = p.csr.Csr.offsets in
-       let nbrs = p.csr.Csr.nbrs in
        (match prof_ctx with
-       | None ->
-           let touch v =
-             if stamp.(v) <> g then begin
-               stamp.(v) <- g;
-               let r = first_enabled ev v in
-               rule_of.(v) <- r;
-               if r >= 0 then begin
-                 if Bits.add enabled v then incr en_count
-               end
-               else begin
-                 if Bits.remove enabled v then decr en_count;
-                 if pend_stamp.(v) = !pend_gen then begin
-                   pend_stamp.(v) <- 0;
-                   decr pend_count
-                 end
-               end;
-               match (ev.legit, legit_of) with
-               | Some clo, Some la ->
-                   let lg = clo () in
-                   if lg <> la.(v) then begin
-                     la.(v) <- lg;
-                     illegit := !illegit + if lg then -1 else 1
-                   end
-               | _ -> ()
-             end
-           in
-           for k = 0 to mv.len - 1 do
-             let u = mv.mu.(k) in
-             touch u;
-             for i = offsets.(u) to offsets.(u + 1) - 1 do
-               touch nbrs.(i)
-             done
-           done
+       | Some pc -> Prof.record_span pc.apply (pc.mark - apply_start)
+       | None -> ());
+       incr steps;
+       incr steps_in_round;
+       total_moves := !total_moves + mv.len;
+       (* Refresh over the movers' closed neighborhoods — the only
+          processes whose views changed. *)
+       incr gen;
+       touches := 0;
+       evals := 0;
+       flips := 0;
+       for k = 0 to mv.len - 1 do
+         let u = mv.mu.(k) in
+         touch u;
+         for i = offsets.(u) to offsets.(u + 1) - 1 do
+           touch nbrs.(i)
+         done
+       done;
+       (match prof_ctx with
        | Some pc ->
-           (* Instrumented twin: same table writes in the same order, plus
-              the scheduler counters the profile reports. *)
-           let evals = ref 0 in
-           let touch v =
-             Metrics.incr pc.c_touched;
-             if stamp.(v) <> g then begin
-               stamp.(v) <- g;
-               incr evals;
-               let r0 = rule_of.(v) in
-               let r = first_enabled ev v in
-               rule_of.(v) <- r;
-               if r <> r0 then Metrics.incr pc.c_flips;
-               if r >= 0 then begin
-                 if Bits.add enabled v then incr en_count
-               end
-               else begin
-                 if Bits.remove enabled v then decr en_count;
-                 if pend_stamp.(v) = !pend_gen then begin
-                   pend_stamp.(v) <- 0;
-                   decr pend_count
-                 end
-               end;
-               match (ev.legit, legit_of) with
-               | Some clo, Some la ->
-                   let lg = clo () in
-                   if lg <> la.(v) then begin
-                     la.(v) <- lg;
-                     illegit := !illegit + if lg then -1 else 1
-                   end
-               | _ -> ()
-             end
-             else Metrics.incr pc.c_dedup
-           in
-           for k = 0 to mv.len - 1 do
-             let u = mv.mu.(k) in
-             touch u;
-             for i = offsets.(u) to offsets.(u + 1) - 1 do
-               touch nbrs.(i)
-             done
-           done;
-           Metrics.add pc.c_evals !evals;
-           Histogram.record pc.h_refresh !evals;
-           lap pc pc.refresh);
-       if count_legit && !illegit = 0 then incr legit_steps;
+           Engine.publish_sched pc.sched ~touched:!touches ~evals:!evals
+             ~flips:!flips;
+           lap pc pc.refresh
+       | None -> ());
+       if !pend_count = 0 then begin
+         incr completed_rounds;
+         steps_in_round := 0;
+         refill_pending ();
+         (* The refill walks the enabled set — scan work, like the initial
+            table build. *)
+         match prof_ctx with Some pc -> lap pc pc.scan | None -> ()
+       end;
        (match on_step with
        | Some f ->
            let moved = ref [] in
@@ -860,46 +869,13 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
            done;
            f ~step:(!steps - 1) ~moved:!moved
        | None -> ());
+       observe_step obs ~nn ~steps:!steps ~moves:!total_moves
+         ~rounds:!completed_rounds ~enabled:!en_count ~illegit:!illegit;
        (match prof_ctx with
        | Some pc ->
-           if count_legit && !illegit = 0 then
-             Metrics.incr pc.c_legit_steps;
            Prof.tick pc.p ~moves:mv.len;
            lap pc pc.callbacks
        | None -> ());
-       (match heartbeat with
-       | Some (every, f) when every > 0 && !steps mod every = 0 ->
-           let now = Unix.gettimeofday () in
-           let dt = now -. !hb_last_t in
-           let dmoves = !total_moves - !hb_last_moves in
-           hb_last_t := now;
-           hb_last_moves := !total_moves;
-           f
-             {
-               hb_steps = !steps;
-               hb_moves = !total_moves;
-               hb_enabled = !en_count;
-               hb_legit =
-                 (match legit_of with None -> -1 | Some _ -> nn - !illegit);
-               hb_availability =
-                 (if count_legit && !steps > 0 then
-                    float_of_int !legit_steps /. float_of_int !steps
-                  else -1.);
-               hb_moves_per_s =
-                 (if dt > 0. then float_of_int dmoves /. dt else 0.);
-             }
-       | _ -> ());
-       trip_moves monitor ~moves_bound ~steps:!steps ~moves:!total_moves;
-       if !pend_count = 0 then begin
-         incr completed_rounds;
-         steps_in_round := 0;
-         refill_pending ();
-         (* The refill walks the enabled set — scan work, like the initial
-            table build. *)
-         (match prof_ctx with Some pc -> lap pc pc.scan | None -> ());
-         trip_rounds monitor ~rounds_bound ~steps:!steps
-           ~rounds:!completed_rounds
-       end;
        if stopping && !illegit = 0 then begin
          outcome := Engine.Stabilized;
          raise Exit
@@ -922,28 +898,24 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
 
 (* --------------------------- partitioned run --------------------------- *)
 
+(* The worker phases, indexing [wslots] and [part_prof.timers]. *)
+let ph_init = 0
+let ph_compute = 1
+let ph_write = 2
+let ph_refresh = 3
+let worker_phases = [| "init"; "compute"; "write"; "refresh" |]
+
 (* Worker-private instrumentation slots for the partitioned path: each
-   domain accumulates its own phase nanoseconds, duration histograms,
-   scheduler counts and GC baselines — separate heap blocks, no sharing —
-   and everything is merged into the single profiler on the calling domain
-   after the team shuts down ({!Prof.merge_spans} / {!Histogram.merge_into}
-   are lossless, so the merged stream is exact). *)
+   domain accumulates its own phase nanoseconds, duration histograms and
+   GC deltas — separate heap blocks, no sharing — and everything is merged
+   into the single profiler on the calling domain after the team shuts
+   down ({!Prof.merge_spans} / {!Histogram.merge_into} are lossless, so the
+   merged stream is exact). *)
 type wslots = {
-  mutable ws_init_ns : int;
-  mutable ws_compute_ns : int;
-  mutable ws_write_ns : int;
-  mutable ws_refresh_ns : int;
-  h_init : Histogram.t;
-  h_compute : Histogram.t;
-  h_write : Histogram.t;
-  h_refresh : Histogram.t;
-  mutable ws_touched : int;
-  mutable ws_evals : int;
-  mutable ws_dedup : int;
-  mutable ws_minor0 : float;
-  mutable ws_major0 : float;
-  mutable ws_minor : float;
-  mutable ws_major : float;
+  ns : int array;  (* per phase *)
+  hist : Histogram.t array;  (* per phase *)
+  mutable minor : float;  (* words: minus the start sample, plus the end *)
+  mutable major : float;
 }
 
 (* Caller-side context for the partitioned profile: merged phase timers
@@ -952,60 +924,47 @@ type wslots = {
 type part_prof = {
   pp : Prof.t;
   slots : wslots array;
-  t_init : Prof.timer;
-  t_compute : Prof.timer;
-  t_write : Prof.timer;
-  t_refresh : Prof.timer;
+  timers : Prof.timer array;  (* per worker phase *)
   t_replay : Prof.timer;
   t_callbacks : Prof.timer;
   prc : Metrics.counter array;  (* moves.R *)
+  psched : Engine.sched_counters;
   c_frontier : Metrics.counter;  (* nodes handed off across a boundary *)
   c_replays : Metrics.counter;  (* handoffs actually recomputed *)
-  pc_legit : Metrics.counter;
 }
 
 let make_part_prof pr ~nparts rule_names =
   Prof.gc_mark pr;
   let m = Prof.metrics pr in
-  let t_init = Prof.timer pr "phase.init" in
-  let t_compute = Prof.timer pr "phase.compute" in
-  let t_write = Prof.timer pr "phase.write" in
-  let t_refresh = Prof.timer pr "phase.refresh" in
+  let timers =
+    Array.map (fun ph -> Prof.timer pr ("phase." ^ ph)) worker_phases
+  in
   (* Registered here for display order; Pool.Team feeds it at shutdown. *)
   ignore (Prof.timer pr "phase.barrier");
   let t_replay = Prof.timer pr "phase.replay" in
   let t_callbacks = Prof.timer pr "phase.callbacks" in
+  let nph = Array.length worker_phases in
+  let prc =
+    Array.map (fun r -> Metrics.counter m ("moves." ^ r)) rule_names
+  in
+  let psched = Engine.sched_counters pr in
   {
     pp = pr;
     slots =
       Array.init nparts (fun _ ->
           {
-            ws_init_ns = 0;
-            ws_compute_ns = 0;
-            ws_write_ns = 0;
-            ws_refresh_ns = 0;
-            h_init = Histogram.create ();
-            h_compute = Histogram.create ();
-            h_write = Histogram.create ();
-            h_refresh = Histogram.create ();
-            ws_touched = 0;
-            ws_evals = 0;
-            ws_dedup = 0;
-            ws_minor0 = 0.;
-            ws_major0 = 0.;
-            ws_minor = 0.;
-            ws_major = 0.;
+            ns = Array.make nph 0;
+            hist = Array.init nph (fun _ -> Histogram.create ());
+            minor = 0.;
+            major = 0.;
           });
-    t_init;
-    t_compute;
-    t_write;
-    t_refresh;
+    timers;
     t_replay;
     t_callbacks;
-    prc = Array.map (fun r -> Metrics.counter m ("moves." ^ r)) rule_names;
+    prc;
+    psched;
     c_frontier = Metrics.counter m "flat.frontier_handoffs";
     c_replays = Metrics.counter m "flat.frontier_replays";
-    pc_legit = Metrics.counter m "obs.legit_steps";
   }
 
 (* Merge the per-domain slots into the stream: phase timers get every
@@ -1016,27 +975,24 @@ let merge_part_prof o ~nparts =
   let m = Prof.metrics o.pp in
   Array.iteri
     (fun d s ->
-      Prof.merge_spans o.t_init ~total_ns:s.ws_init_ns s.h_init;
-      Prof.merge_spans o.t_compute ~total_ns:s.ws_compute_ns s.h_compute;
-      Prof.merge_spans o.t_write ~total_ns:s.ws_write_ns s.h_write;
-      Prof.merge_spans o.t_refresh ~total_ns:s.ws_refresh_ns s.h_refresh;
+      Array.iteri
+        (fun ph tm -> Prof.merge_spans tm ~total_ns:s.ns.(ph) s.hist.(ph))
+        o.timers;
       let gset name v =
         let g = Metrics.gauge m (Printf.sprintf "flat.worker%d.%s" d name) in
         Metrics.set g (Metrics.gauge_value g +. v)
       in
-      gset "compute_s" (float_of_int s.ws_compute_ns /. 1e9);
-      gset "write_s" (float_of_int s.ws_write_ns /. 1e9);
-      gset "refresh_s" (float_of_int s.ws_refresh_ns /. 1e9);
-      gset "gc_minor_words" (s.ws_minor -. s.ws_minor0);
-      gset "gc_major_words" (s.ws_major -. s.ws_major0);
-      Metrics.add (Metrics.counter m "sched.touched") s.ws_touched;
-      Metrics.add (Metrics.counter m "sched.evals") s.ws_evals;
-      Metrics.add (Metrics.counter m "sched.dedup_hits") s.ws_dedup)
+      let secs ph = float_of_int s.ns.(ph) /. 1e9 in
+      gset "compute_s" (secs ph_compute);
+      gset "write_s" (secs ph_write);
+      gset "refresh_s" (secs ph_refresh);
+      gset "gc_minor_words" s.minor;
+      gset "gc_major_words" s.major)
     o.slots;
   Metrics.set (Metrics.gauge m "flat.parts") (float_of_int nparts)
 
-let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
-    ?prof ?monitor ?rounds_bound ?moves_bound ?heartbeat ~parts p =
+let run_partitioned ?(max_steps = 10_000_000) ?prof ?monitor ?rounds_bound
+    ?moves_bound ?heartbeat ~parts p =
   let t0 = Unix.gettimeofday () in
   let nn = Csr.n p.csr in
   let nf = p.nf in
@@ -1053,16 +1009,21 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
   let owner v = v / chunk in
   let nr = Array.length p.rule_names in
   let evs = Array.init nparts (fun _ -> make_ev p) in
-  let track_legit = stop_on_legitimate && evs.(0).legit <> None in
+  let tracked = evs.(0).legit <> None in
   let rule_of = Array.make nn (-1) in
   let enabled = Bits.create nn in
   let en_count = Array.make nparts 0 in
-  let legit_of = if track_legit then Array.make nn false else [||] in
+  let legit_of = if tracked then Array.make nn false else [||] in
   let illegit = Array.make nparts 0 in
   let bufs = Array.init nparts (fun _ -> movers_make nf) in
   let frontier = Array.make nparts [] in
   let moves_per_process = Array.make nn 0 in
   let rule_moves = Array.make_matrix nparts nr 0 in
+  (* Per-domain scheduler counts of the current step (own-range touches
+     only: handoffs are added by the frontier replay). *)
+  let touched = Array.make nparts 0 in
+  let evals = Array.make nparts 0 in
+  let flips = Array.make nparts 0 in
   let offsets = p.csr.Csr.offsets in
   let nbrs = p.csr.Csr.nbrs in
   (* Stamp-dedup per step, as in the sequential path: under the synchronous
@@ -1072,70 +1033,81 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
      out-of-range neighbors) or by the sequential frontier replay. *)
   let stamp = Array.make nn 0 in
   let gen = ref 0 in
+  (* Recompute [v]'s table entry and legitimacy; whether its rule changed. *)
   let recompute ev d v =
     let r = first_enabled ev v in
+    let flipped = r <> rule_of.(v) in
     rule_of.(v) <- r;
     if r >= 0 then begin
       if Bits.add enabled v then en_count.(d) <- en_count.(d) + 1
     end
     else if Bits.remove enabled v then en_count.(d) <- en_count.(d) - 1;
-    if track_legit then begin
+    if tracked then begin
       let lg = (Option.get ev.legit) () in
       if lg <> legit_of.(v) then begin
         legit_of.(v) <- lg;
         illegit.(d) <- illegit.(d) + (if lg then -1 else 1)
       end
-    end
+    end;
+    flipped
   in
-  let pobs = Option.map (fun pr -> make_part_prof pr ~nparts p.rule_names) prof in
+  let pobs =
+    Option.map (fun pr -> make_part_prof pr ~nparts p.rule_names) prof
+  in
+  let obs =
+    make_observer ?prof ?monitor ?rounds_bound ?moves_bound ?heartbeat
+      ~tracked ~t0 ()
+  in
+  (* Run [body] as worker [d]'s phase [ph], timed into its slot when
+     profiling. *)
+  let timed d ph body =
+    match pobs with
+    | None -> body ()
+    | Some o ->
+        let t = Prof.now_ns () in
+        body ();
+        let dt = Prof.now_ns () - t in
+        let s = o.slots.(d) in
+        s.ns.(ph) <- s.ns.(ph) + dt;
+        Histogram.record s.hist.(ph) dt
+  in
+  (* OCaml 5 GC counters are per-domain: sample on the worker itself. *)
+  let gc_sample d sign =
+    match pobs with
+    | Some o ->
+        let q = Gc.quick_stat () in
+        let s = o.slots.(d) in
+        s.minor <- s.minor +. (sign *. q.Gc.minor_words);
+        s.major <- s.major +. (sign *. q.Gc.major_words)
+    | None -> ()
+  in
   let team = Pool.Team.create ?prof ~size:nparts () in
   let sum a = Array.fold_left ( + ) 0 a in
   let steps = ref 0 in
   let total_moves = ref 0 in
-  let count_legit =
-    track_legit && (pobs <> None || heartbeat <> None || monitor <> None)
-  in
-  let legit_steps = ref 0 in
-  let hb_last_t = ref t0 in
-  let hb_last_moves = ref 0 in
   let outcome = ref Engine.Step_limit in
   Fun.protect
     ~finally:(fun () -> Pool.Team.shutdown team)
     (fun () ->
       Pool.Team.run team (fun d ->
-          (match pobs with
-          | Some o ->
-              (* OCaml 5 GC counters are per-domain: the baseline must be
-                 sampled on the worker itself. *)
-              let q = Gc.quick_stat () in
-              let s = o.slots.(d) in
-              s.ws_minor0 <- q.Gc.minor_words;
-              s.ws_major0 <- q.Gc.major_words
-          | None -> ());
-          let tph = match pobs with Some _ -> Prof.now_ns () | None -> 0 in
-          let ev = evs.(d) in
-          for u = lo d to hi d - 1 do
-            let r = first_enabled ev u in
-            rule_of.(u) <- r;
-            if r >= 0 then begin
-              ignore (Bits.add enabled u);
-              en_count.(d) <- en_count.(d) + 1
-            end;
-            if track_legit then begin
-              let lg = (Option.get ev.legit) () in
-              legit_of.(u) <- lg;
-              if not lg then illegit.(d) <- illegit.(d) + 1
-            end
-          done;
-          match pobs with
-          | Some o ->
-              let s = o.slots.(d) in
-              let dt = Prof.now_ns () - tph in
-              s.ws_init_ns <- s.ws_init_ns + dt;
-              Histogram.record s.h_init dt
-          | None -> ());
+          gc_sample d (-1.);
+          timed d ph_init (fun () ->
+              let ev = evs.(d) in
+              for u = lo d to hi d - 1 do
+                let r = first_enabled ev u in
+                rule_of.(u) <- r;
+                if r >= 0 then begin
+                  ignore (Bits.add enabled u);
+                  en_count.(d) <- en_count.(d) + 1
+                end;
+                if tracked then begin
+                  let lg = (Option.get ev.legit) () in
+                  legit_of.(u) <- lg;
+                  if not lg then illegit.(d) <- illegit.(d) + 1
+                end
+              done));
       (try
-         if track_legit && sum illegit = 0 then begin
+         if tracked && sum illegit = 0 then begin
            outcome := Engine.Stabilized;
            raise Exit
          end;
@@ -1147,41 +1119,27 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
           (* Phase A — every enabled node moves (synchronous daemon);
              buffer post rows from the shared pre-state, no writes. *)
           Pool.Team.run team (fun d ->
-              let tph = match pobs with Some _ -> Prof.now_ns () | None -> 0 in
-              let ev = evs.(d) in
-              let b = bufs.(d) in
-              b.len <- 0;
-              Bits.iter_range enabled (lo d) (hi d) (fun u ->
-                  let r = rule_of.(u) in
-                  movers_push b nf u r;
-                  ev.cell.u <- u;
-                  compute_post p ev r ~dst:b.mp ~off:((b.len - 1) * nf));
-              match pobs with
-              | Some o ->
-                  let s = o.slots.(d) in
-                  let dt = Prof.now_ns () - tph in
-                  s.ws_compute_ns <- s.ws_compute_ns + dt;
-                  Histogram.record s.h_compute dt
-              | None -> ());
+              timed d ph_compute (fun () ->
+                  let ev = evs.(d) in
+                  let b = bufs.(d) in
+                  b.len <- 0;
+                  Bits.iter_range enabled (lo d) (hi d) (fun u ->
+                      let r = rule_of.(u) in
+                      movers_push b nf u r;
+                      ev.cell.u <- u;
+                      compute_post p ev r ~dst:b.mp ~off:((b.len - 1) * nf))));
           (* Phase B — write back own-range movers and account them. *)
           Pool.Team.run team (fun d ->
-              let tph = match pobs with Some _ -> Prof.now_ns () | None -> 0 in
-              let b = bufs.(d) in
-              for k = 0 to b.len - 1 do
-                let u = b.mu.(k) in
-                for f = 0 to nf - 1 do
-                  p.state.(f).(u) <- b.mp.((k * nf) + f)
-                done;
-                moves_per_process.(u) <- moves_per_process.(u) + 1;
-                rule_moves.(d).(b.mr.(k)) <- rule_moves.(d).(b.mr.(k)) + 1
-              done;
-              match pobs with
-              | Some o ->
-                  let s = o.slots.(d) in
-                  let dt = Prof.now_ns () - tph in
-                  s.ws_write_ns <- s.ws_write_ns + dt;
-                  Histogram.record s.h_write dt
-              | None -> ());
+              timed d ph_write (fun () ->
+                  let b = bufs.(d) in
+                  for k = 0 to b.len - 1 do
+                    let u = b.mu.(k) in
+                    for f = 0 to nf - 1 do
+                      p.state.(f).(u) <- b.mp.((k * nf) + f)
+                    done;
+                    moves_per_process.(u) <- moves_per_process.(u) + 1;
+                    rule_moves.(d).(b.mr.(k)) <- rule_moves.(d).(b.mr.(k)) + 1
+                  done));
           (* Phase C — refresh the movers' closed neighborhoods.  Writes
              stay in the worker's own range; out-of-range neighbors are
              handed off and replayed sequentially below.  Recomputation is
@@ -1191,177 +1149,82 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
           incr gen;
           let g = !gen in
           Pool.Team.run team (fun d ->
-              match pobs with
-              | None ->
+              timed d ph_refresh (fun () ->
                   let ev = evs.(d) in
                   let b = bufs.(d) in
                   frontier.(d) <- [];
                   let l = lo d and h = hi d in
-                  for k = 0 to b.len - 1 do
-                    let u = b.mu.(k) in
-                    if stamp.(u) <> g then begin
-                      stamp.(u) <- g;
-                      recompute ev d u
-                    end;
-                    for i = offsets.(u) to offsets.(u + 1) - 1 do
-                      let v = nbrs.(i) in
-                      if v >= l && v < h then begin
-                        if stamp.(v) <> g then begin
-                          stamp.(v) <- g;
-                          recompute ev d v
-                        end
-                      end
-                      else frontier.(d) <- v :: frontier.(d)
-                    done
-                  done
-              | Some o ->
-                  (* Instrumented twin: same recomputation in the same
-                     order, plus per-domain touch/eval/dedup counts. *)
-                  let tph = Prof.now_ns () in
-                  let s = o.slots.(d) in
-                  let touched = ref 0 and evals = ref 0 and dedup = ref 0 in
-                  let ev = evs.(d) in
-                  let b = bufs.(d) in
-                  frontier.(d) <- [];
-                  let l = lo d and h = hi d in
-                  for k = 0 to b.len - 1 do
-                    let u = b.mu.(k) in
-                    incr touched;
-                    if stamp.(u) <> g then begin
-                      stamp.(u) <- g;
-                      incr evals;
-                      recompute ev d u
+                  let t = ref 0 and e = ref 0 and fl = ref 0 in
+                  let touch v =
+                    incr t;
+                    if stamp.(v) <> g then begin
+                      stamp.(v) <- g;
+                      incr e;
+                      if recompute ev d v then incr fl
                     end
-                    else incr dedup;
+                  in
+                  for k = 0 to b.len - 1 do
+                    let u = b.mu.(k) in
+                    touch u;
                     for i = offsets.(u) to offsets.(u + 1) - 1 do
                       let v = nbrs.(i) in
-                      if v >= l && v < h then begin
-                        incr touched;
-                        if stamp.(v) <> g then begin
-                          stamp.(v) <- g;
-                          incr evals;
-                          recompute ev d v
-                        end
-                        else incr dedup
-                      end
+                      if v >= l && v < h then touch v
                       else frontier.(d) <- v :: frontier.(d)
                     done
                   done;
-                  s.ws_touched <- s.ws_touched + !touched;
-                  s.ws_evals <- s.ws_evals + !evals;
-                  s.ws_dedup <- s.ws_dedup + !dedup;
-                  let dt = Prof.now_ns () - tph in
-                  s.ws_refresh_ns <- s.ws_refresh_ns + dt;
-                  Histogram.record s.h_refresh dt);
+                  touched.(d) <- !t;
+                  evals.(d) <- !e;
+                  flips.(d) <- !fl));
+          (* Sequential frontier replay on the caller: the cross-boundary
+             cost ROADMAP item 1 asks about. *)
+          let t_replay = match pobs with Some _ -> Prof.now_ns () | None -> 0 in
+          let handed = ref 0 and replayed = ref 0 and replay_flips = ref 0 in
+          Array.iter
+            (List.iter (fun v ->
+                 incr handed;
+                 if stamp.(v) <> g then begin
+                   stamp.(v) <- g;
+                   incr replayed;
+                   if recompute evs.(0) (owner v) v then incr replay_flips
+                 end))
+            frontier;
           (match pobs with
-          | None ->
-              Array.iter
-                (fun fr ->
-                  List.iter
-                    (fun v ->
-                      if stamp.(v) <> g then begin
-                        stamp.(v) <- g;
-                        recompute evs.(0) (owner v) v
-                      end)
-                    fr)
-                frontier
           | Some o ->
-              (* Sequential frontier replay, timed and counted on the
-                 caller: the cross-boundary cost ROADMAP item 1 asks
-                 about. *)
-              let t_r = Prof.now_ns () in
-              let handed = ref 0 and replayed = ref 0 in
-              Array.iter
-                (fun fr ->
-                  List.iter
-                    (fun v ->
-                      incr handed;
-                      if stamp.(v) <> g then begin
-                        stamp.(v) <- g;
-                        incr replayed;
-                        recompute evs.(0) (owner v) v
-                      end)
-                    fr)
-                frontier;
               Metrics.add o.c_frontier !handed;
               Metrics.add o.c_replays !replayed;
-              Prof.record_span o.t_replay (Prof.now_ns () - t_r));
+              Prof.record_span o.t_replay (Prof.now_ns () - t_replay)
+          | None -> ());
           incr steps;
-          Array.iter (fun b -> total_moves := !total_moves + b.len) bufs;
+          let step_moves = Array.fold_left (fun a b -> a + b.len) 0 bufs in
+          total_moves := !total_moves + step_moves;
+          (* Under the synchronous daemon each step completes one round. *)
+          observe_step obs ~nn ~steps:!steps ~moves:!total_moves
+            ~rounds:!steps ~enabled:(sum en_count) ~illegit:(sum illegit);
           (match pobs with
           | Some o ->
               let t_c = Prof.now_ns () in
-              let sm = ref 0 in
+              (* Own-range counts plus the handoffs: the stamp is shared,
+                 so the totals equal the sequential run's for any [parts]. *)
+              Engine.publish_sched o.psched
+                ~touched:(sum touched + !handed)
+                ~evals:(sum evals + !replayed)
+                ~flips:(sum flips + !replay_flips);
               Array.iter
                 (fun b ->
                   for k = 0 to b.len - 1 do
                     Metrics.incr o.prc.(b.mr.(k))
-                  done;
-                  sm := !sm + b.len)
+                  done)
                 bufs;
-              if count_legit && sum illegit = 0 then
-                Metrics.incr o.pc_legit;
-              Prof.tick o.pp ~moves:!sm;
+              Prof.tick o.pp ~moves:step_moves;
               Prof.record_span o.t_callbacks (Prof.now_ns () - t_c)
           | None -> ());
-          if count_legit && sum illegit = 0 then incr legit_steps;
-          (match heartbeat with
-          | Some (every, f) when every > 0 && !steps mod every = 0 ->
-              let now = Unix.gettimeofday () in
-              let dt = now -. !hb_last_t in
-              let dmoves = !total_moves - !hb_last_moves in
-              hb_last_t := now;
-              hb_last_moves := !total_moves;
-              let legit_now =
-                if track_legit then nn - sum illegit
-                else
-                  match evs.(0).legit with
-                  | None -> -1
-                  | Some clo ->
-                      (* Legitimacy is not tracked incrementally on this
-                         run: full rescan at the observation boundary
-                         (amortized over the heartbeat interval). *)
-                      let ev = evs.(0) in
-                      let c = ref 0 in
-                      for u = 0 to nn - 1 do
-                        ev.cell.u <- u;
-                        if clo () then incr c
-                      done;
-                      !c
-              in
-              f
-                {
-                  hb_steps = !steps;
-                  hb_moves = !total_moves;
-                  hb_enabled = sum en_count;
-                  hb_legit = legit_now;
-                  hb_availability =
-                    (if count_legit && !steps > 0 then
-                       float_of_int !legit_steps /. float_of_int !steps
-                     else -1.);
-                  hb_moves_per_s =
-                    (if dt > 0. then float_of_int dmoves /. dt else 0.);
-                }
-          | _ -> ());
-          trip_moves monitor ~moves_bound ~steps:!steps ~moves:!total_moves;
-          (* Under the synchronous daemon each step completes one round. *)
-          trip_rounds monitor ~rounds_bound ~steps:!steps ~rounds:!steps;
-          if track_legit && sum illegit = 0 then begin
+          if tracked && sum illegit = 0 then begin
             outcome := Engine.Stabilized;
             raise Exit
           end
         done
       with Exit -> ());
-      (* Final per-domain GC samples, on the worker domains themselves
-         (OCaml 5 keeps allocation counters per domain). *)
-      match pobs with
-      | Some o ->
-          Pool.Team.run team (fun d ->
-              let q = Gc.quick_stat () in
-              let s = o.slots.(d) in
-              s.ws_minor <- q.Gc.minor_words -. s.ws_minor0;
-              s.ws_major <- q.Gc.major_words -. s.ws_major0)
-      | None -> ());
+      if pobs <> None then Pool.Team.run team (fun d -> gc_sample d 1.));
   (match pobs with
   | Some o ->
       merge_part_prof o ~nparts;
@@ -1380,6 +1243,6 @@ let run_partitioned ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
     (* Under the synchronous daemon every pending node either moves or is
        neutralized within the step, so each step completes one round. *)
     rounds = !steps;
-    legitimate = (if track_legit then sum illegit = 0 else true);
+    legitimate = (not tracked) || sum illegit = 0;
     wall_s = Unix.gettimeofday () -. t0;
   }

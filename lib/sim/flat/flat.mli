@@ -51,8 +51,8 @@ val fields : prog -> (string * kind) array
 val rule_names : prog -> string array
 
 val has_legitimacy : prog -> bool
-(** Whether the spec carries [sp_legitimate] (enables [stop_on_legitimate]
-    and {!result.legitimate}). *)
+(** Whether the spec carries [sp_legitimate] (enables legitimacy tracking:
+    [stop_on_legitimate], {!result.legitimate}, availability). *)
 
 val load : prog -> int -> (string * Sym.value) list -> unit
 (** Overwrite node [u]'s fields from a classic-engine encoding (the
@@ -103,7 +103,9 @@ type result = {
   moves_per_process : int array;
   moves_per_rule : (string * int) list;  (** sorted by rule name *)
   rounds : int;
-  legitimate : bool;  (** final configuration; [true] when untracked *)
+  legitimate : bool;
+      (** whether every node of the final configuration satisfies
+          [sp_legitimate]; [true] when the spec has no such predicate *)
   wall_s : float;
 }
 
@@ -117,10 +119,9 @@ type beat = {
           legitimate; [-1.] when untracked *)
   hb_moves_per_s : float;  (** over the last heartbeat interval *)
 }
-(** One [--heartbeat] progress sample.  [hb_legit] is O(dirty) incremental
-    where the run already tracks legitimacy; otherwise a full rescan at
-    the heartbeat boundary (amortized over the interval), or [-1] when the
-    spec has no legitimacy predicate. *)
+(** One [--heartbeat] progress sample.  [hb_legit] comes from the
+    legitimate-node count both runners maintain incrementally (O(dirty)
+    per step); it is [-1] when the spec has no legitimacy predicate. *)
 
 val run :
   ?rng:Random.State.t ->
@@ -147,16 +148,18 @@ val run :
     too, like the classic engine's [stop].  [on_step] sees the movers of
     each executed step in selection order.
 
-    Observability is pay-as-you-go: with [prof], [monitor] and [heartbeat]
-    all absent the step loop is the exact uninstrumented code (no clock
-    reads, no counter bumps) and the run is bit-identical to one without
-    these parameters.  [prof] attributes wall time to the flat phases
-    ([phase.scan]/[select]/[apply]/[refresh]/[callbacks] — the same
-    lap-timer discipline as the classic engine) plus per-rule [rule.R]
-    timers and [moves.R] counters, scheduler counters ([sched.touched],
-    [sched.evals], [sched.dedup_hits], [sched.table_flips]) and the
-    [sched.refresh_size] histogram; windows stream per the profiler's
-    sink.  [monitor] latches the paper's convergence bounds:
+    Observability is pay-as-you-go.  There is one step loop: it keeps the
+    scheduler counts (touches, evals, flips) in local ints on every run,
+    and only with [prof] attached does it read the clock and write
+    instruments.  Results are bit-identical with or without [prof],
+    [monitor] and [heartbeat].  [prof] attributes wall time to the flat
+    phases ([phase.scan]/[select]/[apply]/[refresh]/[callbacks] — the same
+    lap-timer discipline as the classic engine; [callbacks] covers
+    [on_step], the heartbeat, the monitors and the window tick) plus
+    per-rule [rule.R] timers and [moves.R] counters, and publishes the
+    scheduler counts once per step under the classic engine's names
+    ({!Ssreset_sim.Engine.sched_counters}); windows stream per the
+    profiler's sink.  [monitor] latches the paper's convergence bounds:
     [moves_bound] (e.g. D·n²) trips anomaly [moves-bound], [rounds_bound]
     (e.g. 3n) trips [rounds-bound], each at most once.  [heartbeat]
     [(every, f)] calls [f] after every [every]-th step with a progress
@@ -164,7 +167,6 @@ val run :
 
 val run_partitioned :
   ?max_steps:int ->
-  ?stop_on_legitimate:bool ->
   ?prof:Ssreset_obs.Prof.t ->
   ?monitor:Ssreset_obs.Monitor.t ->
   ?rounds_bound:int ->
@@ -178,7 +180,9 @@ val run_partitioned :
     and the final state are identical to [run ~daemon:Synchronous] for
     any [parts ≥ 1] — under the synchronous daemon every pending node
     moves or is neutralized each step, so rounds equal steps and the
-    pending machinery is unnecessary.
+    pending machinery is unnecessary.  Like {!run} it stops with
+    [Stabilized] as soon as every node satisfies [sp_legitimate] when the
+    spec has that predicate.
 
     [prof]/[monitor]/[heartbeat] behave as in {!run}, with per-worker
     attribution instead of per-rule timers: each domain accumulates its
@@ -192,5 +196,8 @@ val run_partitioned :
     [flat.workerN.compute_s]/[write_s]/[refresh_s]/[gc_minor_words]/
     [gc_major_words] and the [flat.parts] gauge feed [prof report]'s
     per-worker section and its multi-worker coverage check (phase laps
-    tile [parts × wall]).  With all three absent, the phase bodies are the
-    exact uninstrumented code. *)
+    tile [parts × wall]).  The scheduler counts (the workers' own-range
+    refreshes plus the frontier replay) are published once per step and
+    equal {!run}'s synchronous counts for any [parts].  Each phase has
+    one body; only with [prof] does it read the clock, and results are
+    bit-identical either way. *)

@@ -10,6 +10,9 @@ module Progs = Ssreset_flat.Progs
 module Csr = Ssreset_graph.Csr
 module Sym = Ssreset_check.Sym
 module Registry = Ssreset_check.Registry
+module Prof = Ssreset_obs.Prof
+module ObsMetrics = Ssreset_obs.Metrics
+module Monitor = Ssreset_obs.Monitor
 
 (* ------------------------------- bitset -------------------------------- *)
 
@@ -143,6 +146,12 @@ let outcome_str (o : Engine.outcome) =
   | Engine.Terminal -> "terminal"
   | Engine.Step_limit -> "step-limit"
 
+let counter prof name =
+  ObsMetrics.counter_value (ObsMetrics.counter (Prof.metrics prof) name)
+
+let sched_names =
+  [ "sched.touched"; "sched.evals"; "sched.dedup_hits"; "sched.table_flips" ]
+
 let differential_one ~label inst daemon_name seed =
   let module I = (val inst : Sym.INSTANCE) in
   let g = I.graph in
@@ -159,9 +168,10 @@ let differential_one ~label inst daemon_name seed =
   Array.iteri (fun u s -> Flat.load prog u (I.encode s)) cfg0;
   let daemon = Option.get (Daemon.by_name daemon_name) in
   let classic_moved = ref [] in
+  let prof_c = Prof.create () and prof_f = Prof.create () in
   let res_c =
-    Engine.run ~rng:(rng seed) ~max_steps:60 ~algorithm:I.algorithm ~graph:g
-      ~daemon
+    Engine.run ~rng:(rng seed) ~max_steps:60 ~prof:prof_c ~algorithm:I.algorithm
+      ~graph:g ~daemon
       ~observer:(fun ~step:_ ~moved _ -> classic_moved := moved :: !classic_moved)
       cfg0
   in
@@ -169,7 +179,7 @@ let differential_one ~label inst daemon_name seed =
   let flat_moved = ref [] in
   let res_f =
     Flat.run ~rng:(rng seed) ~max_steps:60 ~stop_on_legitimate:false
-      ~daemon:flat_daemon
+      ~prof:prof_f ~daemon:flat_daemon
       ~on_step:(fun ~step:_ ~moved -> flat_moved := moved :: !flat_moved)
       prog
   in
@@ -188,6 +198,11 @@ let differential_one ~label inst daemon_name seed =
     (Alcotest.list (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string)))
     (label ^ " per-step movers")
     (List.rev !classic_moved) (List.rev !flat_moved);
+  List.iter
+    (fun name ->
+      check_int (label ^ " " ^ name) (counter prof_c name)
+        (counter prof_f name))
+    sched_names;
   Array.iteri
     (fun u s ->
       if not (value_list_equal (I.encode s) (Flat.read prog u)) then
@@ -264,7 +279,32 @@ let partition_tests =
         let r_par = Flat.run_partitioned ~parts:4 p_par in
         check Alcotest.string "digest" (Progs.digest p_seq r_seq)
           (Progs.digest p_par r_par);
-        check_int "rounds" r_seq.Flat.rounds r_par.Flat.rounds);
+        check_int "rounds" r_seq.Flat.rounds r_par.Flat.rounds;
+        (* Cut short, both report the (illegitimate) final state alike. *)
+        let r_seq =
+          Flat.run ~max_steps:3 ~daemon:Flat.Synchronous (scale_prog ())
+        in
+        let r_par =
+          Flat.run_partitioned ~max_steps:3 ~parts:4 (scale_prog ())
+        in
+        check_bool "legitimate after 3 steps" r_seq.Flat.legitimate
+          r_par.Flat.legitimate);
+    test "partitioned refresh counts = sequential synchronous" (fun () ->
+        let counts run =
+          let prof = Prof.create () in
+          ignore (run prof (scale_prog ()));
+          List.map (counter prof) sched_names
+        in
+        let seq =
+          counts (fun prof p -> Flat.run ~prof ~daemon:Flat.Synchronous p)
+        in
+        List.iter
+          (fun parts ->
+            check (Alcotest.list Alcotest.int)
+              (Fmt.str "sched counters parts=%d" parts)
+              seq
+              (counts (fun prof p -> Flat.run_partitioned ~prof ~parts p)))
+          [ 1; 2; 4 ]);
     test "tiny graphs tolerate more parts than alignment blocks" (fun () ->
         List.iter
           (fun parts ->
@@ -295,10 +335,6 @@ let composed_ir_tests =
   ]
 
 (* ----------------------- observability transparency --------------------- *)
-
-module Prof = Ssreset_obs.Prof
-module ObsMetrics = Ssreset_obs.Metrics
-module Monitor = Ssreset_obs.Monitor
 
 (* Run the same instance from the same configuration twice — bare, then
    with a profiler attached — and require bit-identity: every counter and
@@ -462,6 +498,39 @@ let observability_tests =
         let r2 = Flat.run ~daemon:Flat.Synchronous p2 in
         check Alcotest.string "digest unchanged by heartbeat"
           (Progs.digest p2 r2) (Progs.digest p r));
+    test "heartbeat time is attributed to phase.callbacks" (fun () ->
+        let p = scale_prog ~n:1024 ~faults:30 () in
+        let prof = Prof.create () in
+        let busy_ns = 1_000_000 in
+        let beats = ref 0 in
+        let spin _ =
+          incr beats;
+          let t = Prof.now_ns () in
+          while Prof.now_ns () - t < busy_ns do
+            ()
+          done
+        in
+        ignore (Flat.run ~daemon:Flat.Synchronous ~prof ~heartbeat:(2, spin) p);
+        let phase name =
+          Prof.timer_total_ns (Prof.timer prof ("phase." ^ name))
+        in
+        check_true "several beats" (!beats >= 5);
+        check_true "callbacks cover every beat"
+          (phase "callbacks" >= !beats * busy_ns);
+        let attributed =
+          List.fold_left
+            (fun acc ph -> acc + phase ph)
+            0
+            [ "scan"; "select"; "apply"; "refresh"; "callbacks" ]
+        in
+        let wall =
+          ObsMetrics.gauge_value
+            (ObsMetrics.gauge (Prof.metrics prof) "engine.wall_s")
+        in
+        let coverage = float_of_int attributed /. (wall *. 1e9) in
+        check_true
+          (Fmt.str "coverage %.3f in [0.9, 1.1]" coverage)
+          (coverage >= 0.9 && coverage <= 1.1));
     test "partitioned heartbeat and monitors leave the run unchanged"
       (fun () ->
         let p = scale_prog ~n:2048 ~faults:40 () in

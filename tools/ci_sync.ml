@@ -49,6 +49,14 @@ let required =
       "--check-prof smoke-scale-prof.jsonl" );
     ( "scale profile attribution check",
       "prof report --check smoke-scale-prof.jsonl" );
+    ( "benchmark correctness smoke",
+      "python3 perfbench/run.py --workload all --seconds 5 --trace 1" );
+    ( "benchmark verdict must be correct",
+      "[\"correct\"] is True" );
+    ( "benchmark negative control",
+      "python3 perfbench/run.py --workload ring-faults-sync --wrong-pin" );
+    ( "negative control verdict must be incorrect",
+      "[\"correct\"] is False" );
     ("pinned z3 install", "apt-get install -y --no-install-recommends z3=");
     ("ring obligations solved", "smt solve --family ring");
     ("unsat transcript artifact", "smt-ring-transcript.txt");
