@@ -1,10 +1,11 @@
 (* ssreset — command-line driver for the reproduction.
 
-   Subcommands run one system on one network under one daemon and print the
-   stabilization statistics; `experiments` regenerates the full table suite
-   (same as bench/main.exe).  Every run subcommand accepts `--json` (emit
-   the observation as a JSON object on stdout) and `--trace-out FILE`
-   (stream a JSONL run trace: manifest, per-round snapshots, summary). *)
+   `run SYSTEM` runs one system of {!Ssreset_expt.Runner.systems} on one
+   network under one daemon and prints the stabilization statistics;
+   `experiments` regenerates the full table suite (same as bench/main.exe).
+   `run` accepts `--json` (emit the observation as a JSON object on stdout)
+   and `--trace-out FILE` (stream a JSONL run trace: manifest, per-round
+   snapshots, summary). *)
 
 open Cmdliner
 
@@ -25,7 +26,6 @@ module Registry = Ssreset_check.Registry
 module Report = Ssreset_check.Report
 module Csr = Ssreset_graph.Csr
 module Engine = Ssreset_sim.Engine
-module Stats = Ssreset_sim.Stats
 module Flat = Ssreset_flat.Flat
 module FlatProgs = Ssreset_flat.Progs
 
@@ -106,31 +106,6 @@ let spec =
     & info [ "spec" ] ~docv:"SPEC"
         ~doc:"Alliance instance: dominating-set, global-offensive, \
               global-defensive, global-powerful, or F,G constants.")
-
-let scheduler_conv =
-  let parse = function
-    | "full" -> Ok `Full
-    | "incremental" -> Ok `Incremental
-    | s ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown scheduler %S (full or incremental)" s))
-  in
-  let print ppf (s : Ssreset_sim.Engine.scheduler) =
-    Format.pp_print_string ppf
-      (match s with `Full -> "full" | `Incremental -> "incremental")
-  in
-  Arg.conv (parse, print)
-
-let scheduler =
-  Arg.(
-    value
-    & opt scheduler_conv `Incremental
-    & info [ "scheduler" ] ~docv:"SCHED"
-        ~doc:
-          "Engine scheduler: $(b,incremental) (dirty-set, the default) or \
-           $(b,full) (per-step rescan).  Results are bit-identical either \
-           way; only wall-clock differs.")
 
 (* ------------------------- telemetry output opts ------------------------ *)
 
@@ -215,7 +190,9 @@ let report ~json name (obs : Runner.obs) =
     (match obs.Runner.segments with
     | Some segments ->
         Fmt.pr "  SDR moves:         %d@." obs.Runner.sdr_moves;
-        Fmt.pr "  max SDR moves/proc:%d@." obs.Runner.max_proc_sdr_moves;
+        Fmt.pr "  max SDR moves/proc:%s@."
+          (Option.fold ~none:"-" ~some:string_of_int
+             obs.Runner.max_proc_sdr_moves);
         Fmt.pr "  segments:          %d@." segments
     | None ->
         (* bare run: segments / alive roots are not measured *)
@@ -229,49 +206,51 @@ let build ~quiet family n seed =
     Fmt.pr "network: %s (%s)@." (Metrics.summary g) family.Workload.family_name;
   g
 
+(* Opens the profile sink if requested, writes its manifest, runs [k] with
+   the profiler, and writes the profile summary. *)
+let with_prof ~output ~manifest k =
+  match output.prof_out with
+  | None -> k ~prof:None
+  | Some path ->
+      let psink = Sink.create path in
+      Fun.protect
+        ~finally:(fun () -> Sink.close psink)
+        (fun () ->
+          Sink.write psink (manifest ~window_steps:output.prof_window);
+          let p = Prof.create ~window_steps:output.prof_window ~sink:psink () in
+          let result = k ~prof:(Some p) in
+          Prof.write_summary p;
+          result)
+
 (* Run one measured system: builds the graph, opens the trace and profile
    sinks if requested, writes the manifests, delegates to the runner (which
    streams rounds + summary; the profiler streams windows), writes the
-   profile summary, and reports. *)
-let measured ~output ~system ~title ~family ~n ~seed ~daemon_name
-    (run :
-      sink:Sink.t option ->
-      prof:Prof.t option ->
-      graph:Graph.t ->
-      daemon:Daemon.t ->
-      Runner.obs) =
+   profile summary, and reports.  Bad input (unknown daemon, infeasible
+   spec, a size the family rejects, unwritable output path) is a one-line
+   error and exit 2. *)
+let run_classic ~output ~system ~family ~n ~seed ~daemon_name =
   try
     let graph = build ~quiet:output.json family n seed in
     let daemon = Runner.daemon_by_name daemon_name in
-    let with_prof k =
-      match output.prof_out with
-      | None -> k ~prof:None
-      | Some path ->
-          let psink = Sink.create path in
-          Fun.protect
-            ~finally:(fun () -> Sink.close psink)
-            (fun () ->
-              Sink.write psink
-                (Prof.manifest ~system ~family:family.Workload.family_name
-                   ~n:(Graph.n graph) ~m:(Graph.m graph) ~seed
-                   ~daemon:daemon.Daemon.daemon_name
-                   ~window_steps:output.prof_window ());
-              let p =
-                Prof.create ~window_steps:output.prof_window ~sink:psink ()
-              in
-              let obs = k ~prof:(Some p) in
-              Prof.write_summary p;
-              obs)
+    let name = Runner.name system in
+    let manifest ~window_steps =
+      Prof.manifest ~system:name ~family:family.Workload.family_name
+        ~n:(Graph.n graph) ~m:(Graph.m graph) ~seed
+        ~daemon:daemon.Daemon.daemon_name ~window_steps ()
     in
-    let with_trace ~prof k =
+    let run ~sink ~prof =
+      Runner.run ?sink ?prof ~trace_steps:output.trace_steps system ~graph
+        ~daemon ~seed
+    in
+    let with_trace ~prof =
       match output.trace_out with
-      | None -> k ~sink:None ~prof
+      | None -> run ~sink:None ~prof
       | Some path ->
           let sink = Sink.create path in
           (* The manifest carries the graph itself (trace_schema + edges),
              so offline analyses need no side channel. *)
           Sink.write sink
-            (Sink.manifest ~system ~family:family.Workload.family_name
+            (Sink.manifest ~system:name ~family:family.Workload.family_name
                ~n:(Graph.n graph) ~m:(Graph.m graph) ~seed
                ~daemon:daemon.Daemon.daemon_name
                ~extra:
@@ -285,118 +264,15 @@ let measured ~output ~system ~title ~family ~n ~seed ~daemon_name
                ());
           Fun.protect
             ~finally:(fun () -> Sink.close sink)
-            (fun () -> k ~sink:(Some sink) ~prof)
+            (fun () -> run ~sink:(Some sink) ~prof)
     in
-    let obs =
-      with_prof (fun ~prof ->
-          with_trace ~prof (fun ~sink ~prof -> run ~sink ~prof ~graph ~daemon))
-    in
-    report ~json:output.json title obs
-  with
-  | Invalid_argument msg | Sys_error msg ->
-      (* unknown daemon, unwritable --trace-out path, … *)
-      Fmt.epr "ssreset: %s@." msg;
-      2
-
-(* ------------------------------- systems -------------------------------- *)
-
-(* Each system: CLI name, doc, and a runner closure.  The `run` subcommand
-   dispatches on the name; the per-system subcommands reuse the same
-   closures. *)
-let unison_run ~seed ~scheduler ~trace_steps =
- fun ~sink ~prof ~graph ~daemon ->
-  Runner.unison_composed ?sink ?prof ~scheduler ~trace_steps ~graph ~daemon
-    ~seed ()
-
-let systems ~spec ~seed ~scheduler ~trace_steps =
-  [ ("unison",
-     "U∘SDR from an arbitrary configuration (stop at first normal)",
-     unison_run ~seed ~scheduler ~trace_steps);
-    ("tail-unison",
-     "tail-unison baseline from an arbitrary configuration",
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.tail_unison ?sink ?prof ~scheduler ~trace_steps ~graph ~daemon ~seed ());
-    ("min-unison",
-     "min-unison baseline (K = n²+1) from an arbitrary configuration",
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.min_unison ?sink ?prof ~scheduler ~trace_steps ~graph ~daemon ~seed ());
-    ("agr-unison",
-     "U∘AGR (mono-initiator reset baseline; needs a weakly fair daemon)",
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.unison_agr ?sink ?prof ~scheduler ~trace_steps ~graph ~daemon ~seed ());
-    ("alliance",
-     Printf.sprintf "FGA(%s)∘SDR from an arbitrary configuration"
-       spec.Spec.spec_name,
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.fga_composed ?sink ?prof ~scheduler ~trace_steps ~spec ~graph ~daemon ~seed ());
-    ("alliance-bare",
-     Printf.sprintf "FGA(%s) from γ_init (non self-stabilizing run)"
-       spec.Spec.spec_name,
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.fga_bare ?sink ?prof ~scheduler ~trace_steps ~spec ~graph ~daemon ~seed ());
-    ("coloring",
-     "coloring∘SDR from an arbitrary configuration",
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.coloring_composed ?sink ?prof ~scheduler ~trace_steps ~graph ~daemon ~seed ());
-    ("mis",
-     "MIS∘SDR from an arbitrary configuration",
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.mis_composed ?sink ?prof ~scheduler ~trace_steps ~graph ~daemon ~seed ());
-    ("matching",
-     "matching∘SDR from an arbitrary configuration",
-     fun ~sink ~prof ~graph ~daemon ->
-       Runner.matching_composed ?sink ?prof ~scheduler ~trace_steps ~graph ~daemon ~seed ()) ]
-
-let run_system ~output ~system ~family ~n ~seed ~daemon_name ~spec ~scheduler =
-  match
-    List.find_opt
-      (fun (name, _, _) -> name = system)
-      (systems ~spec ~seed ~scheduler ~trace_steps:output.trace_steps)
-  with
-  | None ->
-      Fmt.epr "unknown system %S (one of: %s)@." system
-        (String.concat ", "
-           (List.map
-              (fun (name, _, _) -> name)
-              (systems ~spec ~seed ~scheduler ~trace_steps:false)));
-      2
-  | Some (_, title, run) ->
-      if
-        (system = "alliance" || system = "alliance-bare")
-        && not (Spec.feasible spec (family.Workload.build ~seed ~n))
-      then begin
-        Fmt.epr "spec %s infeasible on this network@." spec.Spec.spec_name;
-        2
-      end
-      else measured ~output ~system ~title ~family ~n ~seed ~daemon_name run
+    report ~json:output.json (Runner.doc system)
+      (with_prof ~output ~manifest with_trace)
+  with Invalid_argument msg | Sys_error msg ->
+    Fmt.epr "ssreset: %s@." msg;
+    2
 
 (* ------------------------------ flat engine ----------------------------- *)
-
-(* The flat data-path engine runs the systems whose symbolic IR is in the
-   catalogue (the three unisons).  It shares the report/JSON pipeline by
-   constructing a Runner.obs; per-process SDR attribution and segment
-   counting are classic-engine observers, so those fields stay unmeasured
-   here ([segments = None]). *)
-let obs_of_flat (r : Flat.result) : Runner.obs =
-  let per_proc =
-    List.map float_of_int (Array.to_list r.Flat.moves_per_process)
-  in
-  {
-    Runner.outcome_ok = r.Flat.outcome = Engine.Stabilized;
-    result_ok = r.Flat.legitimate;
-    rounds = r.Flat.rounds;
-    moves = r.Flat.moves;
-    steps = r.Flat.steps;
-    sdr_moves = Engine.moves_of_rules r.Flat.moves_per_rule ~prefixes:[ "SDR-" ];
-    max_proc_moves = Array.fold_left max 0 r.Flat.moves_per_process;
-    max_proc_sdr_moves = 0;
-    workload_p50 = Stats.percentile per_proc ~p:50.;
-    workload_p90 = Stats.percentile per_proc ~p:90.;
-    moves_per_rule = r.Flat.moves_per_rule;
-    segments = None;
-    ar_monotone = None;
-    wall_s = r.Flat.wall_s;
-  }
 
 (* --heartbeat progress line, to stderr so --json/--digest stdout stays
    machine-readable. *)
@@ -410,6 +286,11 @@ let print_beat (b : Flat.beat) =
        Printf.sprintf "  avail %.3f" b.Flat.hb_availability
      else "")
 
+(* The flat data-path engine runs the systems whose symbolic IR is in the
+   catalogue (the three unisons).  It shares the report/JSON pipeline
+   through the runner's bare observation: per-process SDR attribution and
+   segment counting are classic-engine observers, so those fields stay
+   unmeasured here. *)
 let run_flat ~output ~system ~family ~n ~seed ~daemon_name ~parts ~perturb
     ~digest ~monitors ~heartbeat =
   let catalogue_name =
@@ -479,30 +360,15 @@ let run_flat ~output ~system ~family ~n ~seed ~daemon_name ~parts ~perturb
                   (Printf.sprintf "unknown daemon %S (one of: %s)" daemon_name
                      (String.concat ", " (Flat.daemon_names ())))
         in
-        let result =
-          match output.prof_out with
-          | None -> dispatch ~prof:None
-          | Some path ->
-              let psink = Sink.create path in
-              Fun.protect
-                ~finally:(fun () -> Sink.close psink)
-                (fun () ->
-                  Sink.write psink
-                    (Prof.manifest
-                       ~extra:
-                         [ ("engine", Json.String "flat");
-                           ("parts", Json.Int (max 1 parts)) ]
-                       ~system:catalogue_name
-                       ~family:family.Workload.family_name ~n:nn
-                       ~m:(Csr.m csrg) ~seed ~daemon:daemon_name
-                       ~window_steps:output.prof_window ());
-                  let p =
-                    Prof.create ~window_steps:output.prof_window ~sink:psink ()
-                  in
-                  let result = dispatch ~prof:(Some p) in
-                  Prof.write_summary p;
-                  result)
+        let manifest ~window_steps =
+          Prof.manifest
+            ~extra:
+              [ ("engine", Json.String "flat");
+                ("parts", Json.Int (max 1 parts)) ]
+            ~system:catalogue_name ~family:family.Workload.family_name ~n:nn
+            ~m:(Csr.m csrg) ~seed ~daemon:daemon_name ~window_steps ()
         in
+        let r = with_prof ~output ~manifest dispatch in
         (match monitor with
         | Some m when Ssreset_obs.Monitor.anomaly_count m > 0 ->
             List.iter
@@ -514,92 +380,47 @@ let run_flat ~output ~system ~family ~n ~seed ~daemon_name ~parts ~perturb
               (Ssreset_obs.Monitor.anomalies m)
         | _ -> ());
         if digest then begin
-          print_endline (FlatProgs.digest prog result);
-          if result.Flat.outcome = Engine.Stabilized then 0 else 1
+          print_endline (FlatProgs.digest prog r);
+          if r.Flat.outcome = Engine.Stabilized then 0 else 1
         end
         else
           report ~json:output.json
             (Printf.sprintf "%s (flat engine, n=%d%s)" entry.FlatProgs.pname
                nn
                (if parts > 1 then Printf.sprintf ", %d domains" parts else ""))
-            (obs_of_flat result)
-      with Invalid_argument msg | Sys_error msg ->
+            (Runner.observation
+               ~outcome_ok:(r.Flat.outcome = Engine.Stabilized)
+               ~result_ok:r.Flat.legitimate ~rounds:r.Flat.rounds
+               ~moves:r.Flat.moves ~steps:r.Flat.steps
+               ~moves_per_process:r.Flat.moves_per_process
+               ~moves_per_rule:r.Flat.moves_per_rule ~wall_s:r.Flat.wall_s)
+      with Invalid_argument msg | Sys_error msg | Csr.Invalid_csr msg ->
         Fmt.epr "ssreset: %s@." msg;
         2)
 
 (* ------------------------------ subcommands ----------------------------- *)
 
-let system_cmd name ~doc cli_system =
-  let run family n seed daemon_name spec sched output =
-    run_system ~output ~system:cli_system ~family ~n ~seed ~daemon_name ~spec
-      ~scheduler:sched
-  in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const run $ family $ size $ seed $ daemon_name $ spec $ scheduler
-      $ output_term)
-
-let unison_cmd =
-  system_cmd "unison"
-    ~doc:"Self-stabilizing unison (U∘SDR) from an arbitrary configuration."
-    "unison"
-
-let tail_cmd =
-  system_cmd "tail-unison"
-    ~doc:"Baseline unison with reset tails ([11])." "tail-unison"
-
-let min_cmd =
-  system_cmd "min-unison"
-    ~doc:"Couvreur-style baseline unison with K = n²+1 ([20])." "min-unison"
-
-let agr_unison_cmd =
-  system_cmd "agr-unison"
-    ~doc:
-      "Unison over the mono-initiator Arora-Gouda-style reset baseline. \
-       Livelocks under unfair daemons such as central-first — that is \
-       the point of experiment E15."
-    "agr-unison"
-
-let alliance_cmd =
-  let run family n seed daemon_name spec bare sched output =
-    let system = if bare then "alliance-bare" else "alliance" in
-    run_system ~output ~system ~family ~n ~seed ~daemon_name ~spec
-      ~scheduler:sched
-  in
-  let bare =
-    Arg.(value & flag & info [ "bare" ] ~doc:"Run FGA alone from γ_init.")
-  in
-  Cmd.v
-    (Cmd.info "alliance"
-       ~doc:"Silent self-stabilizing 1-minimal (f,g)-alliance (FGA∘SDR).")
-    Term.(
-      const run $ family $ size $ seed $ daemon_name $ spec $ bare
-      $ scheduler $ output_term)
-
-let matching_cmd =
-  system_cmd "matching" ~doc:"Silent self-stabilizing maximal matching."
-    "matching"
-
-let coloring_cmd =
-  system_cmd "coloring" ~doc:"Silent self-stabilizing (Δ+1)-coloring."
-    "coloring"
-
-let mis_cmd =
-  system_cmd "mis" ~doc:"Silent self-stabilizing maximal independent set."
-    "mis"
-
 let run_cmd =
-  let run system family n seed daemon_name spec sched engine parts perturb
-      digest monitors heartbeat output =
-    match engine with
-    | "classic" ->
-        run_system ~output ~system ~family ~n ~seed ~daemon_name ~spec
-          ~scheduler:sched
-    | "flat" ->
+  let run system family n seed daemon_name spec engine parts perturb digest
+      monitors heartbeat output =
+    let systems = Runner.systems ~spec in
+    match
+      (engine, List.find_opt (fun s -> Runner.name s = system) systems)
+    with
+    | _ when output.trace_steps && output.trace_out = None ->
+        Fmt.epr "ssreset: --trace-steps needs --trace-out FILE@.";
+        2
+    | "classic", Some system ->
+        run_classic ~output ~system ~family ~n ~seed ~daemon_name
+    | "classic", None ->
+        Fmt.epr "ssreset: unknown system %S (one of: %s)@." system
+          (String.concat ", " (List.map Runner.name systems));
+        2
+    | "flat", _ ->
         run_flat ~output ~system ~family ~n ~seed ~daemon_name ~parts ~perturb
           ~digest ~monitors ~heartbeat
-    | e ->
-        Fmt.epr "unknown engine %S (classic or flat)@." e;
+    | e, _ ->
+        Fmt.epr "ssreset: unknown engine %S (classic or flat)@." e;
         2
   in
   let system =
@@ -608,9 +429,13 @@ let run_cmd =
       & pos 0 string "unison"
       & info [] ~docv:"SYSTEM"
           ~doc:
-            "System to run: unison, tail-unison, min-unison, agr-unison, \
-             alliance, alliance-bare, coloring, mis, matching (default \
-             unison).")
+            (Printf.sprintf "System to run: %s."
+               (String.concat "; "
+                  (List.map
+                     (fun s ->
+                       Printf.sprintf "$(b,%s) — %s" (Runner.name s)
+                         (Runner.doc s))
+                     (Runner.systems ~spec:Spec.dominating_set)))))
   in
   let engine =
     Arg.(
@@ -682,8 +507,8 @@ let run_cmd =
           front door for scripted/telemetry use; combine with --json and \
           --trace-out.")
     Term.(
-      const run $ system $ family $ size $ seed $ daemon_name $ spec
-      $ scheduler $ engine $ parts $ perturb $ digest $ monitors $ heartbeat
+      const run $ system $ family $ size $ seed $ daemon_name $ spec $ engine
+      $ parts $ perturb $ digest $ monitors $ heartbeat
       $ output_term)
 
 let graph_cmd =
@@ -1981,7 +1806,5 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group info
-          [ run_cmd; trace_cmd; prof_cmd; unison_cmd; tail_cmd; min_cmd;
-            agr_unison_cmd;
-            alliance_cmd; coloring_cmd; mis_cmd; matching_cmd; graph_cmd;
-            check_cmd; smt_cmd; experiments_cmd ]))
+          [ run_cmd; trace_cmd; prof_cmd; graph_cmd; check_cmd; smt_cmd;
+            experiments_cmd ]))

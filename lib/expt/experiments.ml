@@ -65,7 +65,8 @@ let add agg (o : Runner.obs) =
   agg.max_rounds <- max agg.max_rounds o.Runner.rounds;
   agg.max_moves <- max agg.max_moves o.Runner.moves;
   agg.sum_moves <- agg.sum_moves + o.Runner.moves;
-  agg.max_proc_sdr <- max agg.max_proc_sdr o.Runner.max_proc_sdr_moves;
+  agg.max_proc_sdr <-
+    max agg.max_proc_sdr (Option.value ~default:0 o.Runner.max_proc_sdr_moves);
   agg.max_segments <-
     max agg.max_segments (Option.value ~default:0 o.Runner.segments);
   agg.ar_ok <- agg.ar_ok && Option.value ~default:true o.Runner.ar_monotone;
@@ -97,12 +98,13 @@ let e1_e2_e3 profile =
       | `Unison ->
           sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
               let graph = family.Workload.build ~seed ~n in
-              Runner.unison_composed ~graph ~daemon ~seed ())
+              Runner.run Runner.unison ~graph ~daemon ~seed)
       | `Fga ->
           sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
               let graph = family.Workload.build ~seed ~n in
-              Runner.fga_composed ~stop_at_normal:true
-                ~spec:Spec.dominating_set ~graph ~daemon ~seed ())
+              Runner.run
+                (Runner.alliance ~stop_at_normal:true Spec.dominating_set)
+                ~graph ~daemon ~seed)
     in
     ((match system with `Unison -> "U∘SDR" | `Fga -> "FGA∘SDR"),
      family.Workload.family_name, n, agg)
@@ -167,7 +169,7 @@ let e4_e5 profile =
         let diam = Metrics.diameter graph in
         let agg =
           sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
-              Runner.unison_composed ~graph ~daemon ~seed ())
+              Runner.run Runner.unison ~graph ~daemon ~seed)
         in
         (family.Workload.family_name, n, diam, agg))
   in
@@ -223,14 +225,14 @@ let e6 profile =
               (fun daemon_name ->
                 for seed = 1 to profile.seeds do
                   add ours
-                    (Runner.unison_composed ~graph
-                       ~daemon:(Runner.daemon_by_name daemon_name) ~seed ());
+                    (Runner.run Runner.unison ~graph
+                       ~daemon:(Runner.daemon_by_name daemon_name) ~seed);
                   add tail
-                    (Runner.tail_unison ~graph
-                       ~daemon:(Runner.daemon_by_name daemon_name) ~seed ());
+                    (Runner.run Runner.tail_unison ~graph
+                       ~daemon:(Runner.daemon_by_name daemon_name) ~seed);
                   add mu
-                    (Runner.min_unison ~graph
-                       ~daemon:(Runner.daemon_by_name daemon_name) ~seed ())
+                    (Runner.run Runner.min_unison ~graph
+                       ~daemon:(Runner.daemon_by_name daemon_name) ~seed)
                 done)
               [ "synchronous"; "central-random"; "distributed-random";
                 "locally-central" ];
@@ -275,11 +277,9 @@ let e7 profile =
           (fun daemon_name ->
             for seed = 1 to profile.seeds do
               add agg
-                (Runner.unison_bare
-                   ~steps:(profile.bare_steps_factor * n)
-                   ~graph
-                   ~daemon:(Runner.daemon_by_name daemon_name)
-                   ~seed ())
+                (Runner.run ~max_steps:(profile.bare_steps_factor * n)
+                   Runner.unison_bare ~graph
+                   ~daemon:(Runner.daemon_by_name daemon_name) ~seed)
             done)
           [ "synchronous"; "round-robin"; "distributed-random" ];
         [ family.Workload.family_name; Table.cell_int n;
@@ -313,7 +313,7 @@ let e8 profile =
            else begin
              let agg =
                sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
-                   Runner.fga_bare ~spec ~graph ~daemon ~seed ())
+                   Runner.run (Runner.alliance_bare spec) ~graph ~daemon ~seed)
              in
              Some
                [ spec.Spec.spec_name; family.Workload.family_name;
@@ -354,7 +354,7 @@ let e9_e10 profile =
            else begin
              let agg =
                sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
-                   Runner.fga_composed ~spec ~graph ~daemon ~seed ())
+                   Runner.run (Runner.alliance spec) ~graph ~daemon ~seed)
              in
              Some
                (spec.Spec.spec_name, family.Workload.family_name, n, graph,
@@ -417,11 +417,11 @@ let e11 profile =
            let uni = new_agg () and fga = new_agg () in
            for seed = 1 to profile.seeds do
              add uni
-               (Runner.unison_composed ~graph
-                  ~daemon:(Runner.daemon_by_name daemon_name) ~seed ());
+               (Runner.run Runner.unison ~graph
+                  ~daemon:(Runner.daemon_by_name daemon_name) ~seed);
              add fga
-               (Runner.fga_composed ~spec:Spec.dominating_set ~graph
-                  ~daemon:(Runner.daemon_by_name daemon_name) ~seed ())
+               (Runner.run (Runner.alliance Spec.dominating_set) ~graph
+                  ~daemon:(Runner.daemon_by_name daemon_name) ~seed)
            done;
            [ [ daemon_name; "U∘SDR"; Table.cell_int uni.max_rounds;
                Table.cell_float (mean_moves uni); Table.cell_bool uni.all_ok ];
@@ -523,15 +523,15 @@ let e13 profile =
             let graph = family.Workload.build ~seed:1 ~n in
             let col =
               sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
-                  Runner.coloring_composed ~graph ~daemon ~seed ())
+                  Runner.run Runner.coloring ~graph ~daemon ~seed)
             in
             let mis =
               sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
-                  Runner.mis_composed ~graph ~daemon ~seed ())
+                  Runner.run Runner.mis ~graph ~daemon ~seed)
             in
             let mat =
               sweep_cell ~seeds:profile.seeds ~run:(fun ~daemon ~seed ->
-                  Runner.matching_composed ~graph ~daemon ~seed ())
+                  Runner.run Runner.matching ~graph ~daemon ~seed)
             in
             [ [ "coloring∘SDR"; family.Workload.family_name; Table.cell_int n;
                 Table.cell_int col.max_rounds; Table.cell_bool col.all_ok ];
@@ -636,23 +636,23 @@ let e15 profile =
               (fun daemon_name ->
                 for seed = 1 to profile.seeds do
                   add sdr
-                    (Runner.unison_composed ~graph
-                       ~daemon:(Runner.daemon_by_name daemon_name) ~seed ());
+                    (Runner.run Runner.unison ~graph
+                       ~daemon:(Runner.daemon_by_name daemon_name) ~seed);
                   add agr
-                    (Runner.unison_agr ~graph
-                       ~daemon:(Runner.daemon_by_name daemon_name) ~seed ())
+                    (Runner.run Runner.agr_unison ~graph
+                       ~daemon:(Runner.daemon_by_name daemon_name) ~seed)
                 done)
               fair_daemons;
             (* under the unfair central-first daemon SDR still stabilizes
                while the mono-initiator architecture can livelock (a
                bounded step budget stands in for "forever") *)
             let unfair_sdr =
-              Runner.unison_composed ~graph
-                ~daemon:(Runner.daemon_by_name "central-first") ~seed:1 ()
+              Runner.run Runner.unison ~graph
+                ~daemon:(Runner.daemon_by_name "central-first") ~seed:1
             in
             let unfair_agr =
-              Runner.unison_agr ~max_steps:200_000 ~graph
-                ~daemon:(Runner.daemon_by_name "central-first") ~seed:1 ()
+              Runner.run ~max_steps:200_000 Runner.agr_unison ~graph
+                ~daemon:(Runner.daemon_by_name "central-first") ~seed:1
             in
             [ family.Workload.family_name; Table.cell_int n;
               Table.cell_int sdr.max_rounds; Table.cell_int agr.max_rounds;

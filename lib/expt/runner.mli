@@ -2,19 +2,22 @@
     the experiments (per-process SDR move counts, segment counting,
     alive-root monotonicity) and optional JSONL telemetry.
 
-    Every runner accepts [?sink]: when given, the run streams one
+    Every system is a descriptor (see {!system}) driven by the one {!run}.
+    The paper's SDR is a generic transformer, so every I∘SDR run is the
+    same run with a different input algorithm, stop predicate and output
+    check; the bare baselines are that run without the SDR observers.
+
+    [run] accepts [?sink]: when given, the run streams one
     {!Ssreset_obs.Sink.round_record} per completed round and a final
     {!Ssreset_obs.Sink.summary} (with per-rule move counters and a
     {!Ssreset_obs.Metrics} snapshot) into it.  The caller writes the
     manifest — it knows the graph family and CLI context; the runner does
-    not.  Without a sink no telemetry code runs at all.
-
-    Every runner also accepts [?scheduler], forwarded to
-    {!Ssreset_sim.Engine.run}: [`Full] rescan vs the default [`Incremental]
-    dirty-set scheduler.  The choice affects wall-clock only — results are
-    bit-identical.  Likewise [?prof], forwarded to the engine: an attached
-    {!Ssreset_obs.Prof} profiler collects phase/rule timings, scheduler and
-    GC counters, and streaming windows, without changing any result.
+    not.  Without a sink no telemetry code runs at all.  [?prof] is
+    forwarded to {!Ssreset_sim.Engine.run}: an attached {!Ssreset_obs.Prof}
+    profiler collects phase/rule timings, scheduler and GC counters, and
+    streaming windows, without changing any result.  Runs always use the
+    engine's default incremental scheduler; its bit-identity with the full
+    rescan is asserted by the scheduler tests.
 
     With a sink attached, composed runs additionally install online
     {!Ssreset_obs.Monitor}s: the 3n round bound and D·n² move bound for
@@ -39,7 +42,9 @@ type obs = {
   steps : int;
   sdr_moves : int;  (** moves of SDR rules only (0 for bare runs) *)
   max_proc_moves : int;
-  max_proc_sdr_moves : int;  (** per-process maximum of SDR moves *)
+  max_proc_sdr_moves : int option;
+      (** per-process maximum of SDR moves; [None] when SDR moves were made
+          but not attributed to processes (flat-engine runs) *)
   workload_p50 : float;
       (** median of the per-process move counts (numpy-style linear
           interpolation, {!Ssreset_sim.Stats.percentile}) *)
@@ -58,146 +63,97 @@ val obs_json : obs -> Ssreset_obs.Json.t
 (** Machine-readable rendering of an observation (unmeasured fields are
     [null]); includes a derived [steps_per_s]. *)
 
-val unison_composed :
-  ?max_steps:int ->
-  ?scheduler:Ssreset_sim.Engine.scheduler ->
-  ?prof:Ssreset_obs.Prof.t ->
-  ?sink:Ssreset_obs.Sink.t ->
-  ?trace_steps:bool ->
-  graph:Ssreset_graph.Graph.t ->
-  daemon:Ssreset_sim.Daemon.t ->
-  seed:int ->
-  unit ->
+val observation :
+  outcome_ok:bool ->
+  result_ok:bool ->
+  rounds:int ->
+  moves:int ->
+  steps:int ->
+  moves_per_process:int array ->
+  moves_per_rule:(string * int) list ->
+  wall_s:float ->
   obs
-(** U ∘ SDR with K = 2n+2 from an arbitrary configuration, run until the
+(** The observation of a run without the composed-system probes — what
+    bare runs report, and what the flat engine reports from its counters.
+    [sdr_moves] sums the [SDR-] rules of [moves_per_rule];
+    [max_proc_sdr_moves] is [Some 0] when that sum is 0 and [None]
+    (unmeasured) otherwise; [segments] and [ar_monotone] are [None]. *)
+
+(** {1 Systems} *)
+
+type system
+(** A system descriptor: the input algorithm, its initial configuration
+    (drawn from the configuration RNG of the run's seed), stop predicate,
+    expected outcome, output check and observers. *)
+
+val name : system -> string
+(** The name the CLI's [run SYSTEM] accepts. *)
+
+val doc : system -> string
+(** One-line description, also the title of the CLI's text report. *)
+
+val unison : system
+(** U∘SDR with K = 2n+2 from an arbitrary configuration, run until the
     first normal configuration. *)
 
-val unison_bare :
-  ?scheduler:Ssreset_sim.Engine.scheduler ->
-  ?prof:Ssreset_obs.Prof.t ->
-  ?sink:Ssreset_obs.Sink.t ->
-  ?trace_steps:bool ->
-  steps:int ->
-  graph:Ssreset_graph.Graph.t ->
-  daemon:Ssreset_sim.Daemon.t ->
-  seed:int ->
-  unit ->
-  obs
-(** U alone from γ_init for a fixed number of steps; [result_ok] = no safety
-    violation and every process incremented at least once (liveness proxy —
-    use a generous step budget). *)
+val unison_bare : system
+(** U alone from γ_init for the whole step budget (default 10 000);
+    [result_ok] = no safety violation and every process incremented at
+    least once (liveness proxy — use a generous budget).  Unlike the other
+    systems, [result_ok] does not require [outcome_ok]. *)
 
-val tail_unison :
-  ?max_steps:int ->
-  ?scheduler:Ssreset_sim.Engine.scheduler ->
-  ?prof:Ssreset_obs.Prof.t ->
-  ?sink:Ssreset_obs.Sink.t ->
-  ?trace_steps:bool ->
-  graph:Ssreset_graph.Graph.t ->
-  daemon:Ssreset_sim.Daemon.t ->
-  seed:int ->
-  unit ->
-  obs
+val tail_unison : system
 (** The baseline with K = 2n+2, α = n, from an arbitrary configuration, run
     until legitimate. *)
 
-val unison_agr :
-  ?max_steps:int ->
-  ?scheduler:Ssreset_sim.Engine.scheduler ->
-  ?prof:Ssreset_obs.Prof.t ->
-  ?sink:Ssreset_obs.Sink.t ->
-  ?trace_steps:bool ->
-  graph:Ssreset_graph.Graph.t ->
-  daemon:Ssreset_sim.Daemon.t ->
-  seed:int ->
-  unit ->
-  obs
+val min_unison : system
+(** The Couvreur-style baseline with K = n²+1, from an arbitrary
+    configuration, run until legitimate. *)
+
+val agr_unison : system
 (** U composed with the mono-initiator AGR reset baseline (root = process
     0), run until the first normal configuration.  AGR needs a weakly fair
     daemon (see {!Ssreset_agreset.Agreset}); under unfair schedules such as
     ["central-first"] it can livelock, which experiment E15 demonstrates
     deliberately (a [Step_limit] outcome then yields [outcome_ok = false]). *)
 
-val min_unison :
-  ?max_steps:int ->
-  ?scheduler:Ssreset_sim.Engine.scheduler ->
-  ?prof:Ssreset_obs.Prof.t ->
-  ?sink:Ssreset_obs.Sink.t ->
-  ?trace_steps:bool ->
-  graph:Ssreset_graph.Graph.t ->
-  daemon:Ssreset_sim.Daemon.t ->
-  seed:int ->
-  unit ->
-  obs
-(** The Couvreur-style baseline with K = n²+1, from an arbitrary
-    configuration, run until legitimate. *)
-
-val fga_bare :
-  ?max_steps:int ->
-  ?scheduler:Ssreset_sim.Engine.scheduler ->
-  ?prof:Ssreset_obs.Prof.t ->
-  ?sink:Ssreset_obs.Sink.t ->
-  ?trace_steps:bool ->
-  spec:Ssreset_alliance.Spec.t ->
-  graph:Ssreset_graph.Graph.t ->
-  daemon:Ssreset_sim.Daemon.t ->
-  seed:int ->
-  unit ->
-  obs
+val alliance_bare : Ssreset_alliance.Spec.t -> system
 (** FGA from γ_init until terminal; [result_ok] = 1-minimal alliance and the
-    per-process move bound of Lemma 25 (8δΔ + 18δ + 24) holds. *)
+    per-process move bound of Lemma 25 (8δΔ + 18δ + 24) holds.
+    @raise Invalid_argument from {!run} if the spec is infeasible on the
+    graph. *)
 
-val fga_composed :
-  ?max_steps:int ->
-  ?stop_at_normal:bool ->
-  ?scheduler:Ssreset_sim.Engine.scheduler ->
-  ?prof:Ssreset_obs.Prof.t ->
-  ?sink:Ssreset_obs.Sink.t ->
-  ?trace_steps:bool ->
-  spec:Ssreset_alliance.Spec.t ->
-  graph:Ssreset_graph.Graph.t ->
-  daemon:Ssreset_sim.Daemon.t ->
-  seed:int ->
-  unit ->
-  obs
+val alliance : ?stop_at_normal:bool -> Ssreset_alliance.Spec.t -> system
 (** FGA ∘ SDR from an arbitrary configuration until terminal (silence), or
-    until the first normal configuration when [stop_at_normal] is set. *)
+    until the first normal configuration when [stop_at_normal] is set.
+    @raise Invalid_argument from {!run} if the spec is infeasible on the
+    graph. *)
 
-val coloring_composed :
+(** Coloring, MIS and maximal matching ∘ SDR, each from an arbitrary
+    configuration until terminal (silence). *)
+
+val coloring : system
+val mis : system
+val matching : system
+
+val systems : spec:Ssreset_alliance.Spec.t -> system list
+(** The systems of the CLI's [run SYSTEM], in its order: every system
+    above but {!unison_bare}; the alliance ones use [spec]. *)
+
+val run :
   ?max_steps:int ->
-  ?scheduler:Ssreset_sim.Engine.scheduler ->
   ?prof:Ssreset_obs.Prof.t ->
   ?sink:Ssreset_obs.Sink.t ->
   ?trace_steps:bool ->
+  system ->
   graph:Ssreset_graph.Graph.t ->
   daemon:Ssreset_sim.Daemon.t ->
   seed:int ->
-  unit ->
   obs
-
-val mis_composed :
-  ?max_steps:int ->
-  ?scheduler:Ssreset_sim.Engine.scheduler ->
-  ?prof:Ssreset_obs.Prof.t ->
-  ?sink:Ssreset_obs.Sink.t ->
-  ?trace_steps:bool ->
-  graph:Ssreset_graph.Graph.t ->
-  daemon:Ssreset_sim.Daemon.t ->
-  seed:int ->
-  unit ->
-  obs
-
-val matching_composed :
-  ?max_steps:int ->
-  ?scheduler:Ssreset_sim.Engine.scheduler ->
-  ?prof:Ssreset_obs.Prof.t ->
-  ?sink:Ssreset_obs.Sink.t ->
-  ?trace_steps:bool ->
-  graph:Ssreset_graph.Graph.t ->
-  daemon:Ssreset_sim.Daemon.t ->
-  seed:int ->
-  unit ->
-  obs
+(** One measured run of [system] on [graph] under [daemon].  [seed] derives
+    two independent RNG states: one draws the initial configuration, the
+    other drives the daemon.  [max_steps] defaults to the system's own
+    budget. *)
 
 val daemon_by_name : string -> Ssreset_sim.Daemon.t
 (** Fresh daemon from {!Ssreset_sim.Daemon.registry} — the single

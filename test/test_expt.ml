@@ -126,8 +126,8 @@ let runner_tests =
     test "unison_composed reports a consistent observation" (fun () ->
         let g = Workload.ring.Workload.build ~seed:1 ~n:10 in
         let obs =
-          Runner.unison_composed ~graph:g
-            ~daemon:(Runner.daemon_by_name "distributed-random") ~seed:3 ()
+          Runner.run Runner.unison ~graph:g
+            ~daemon:(Runner.daemon_by_name "distributed-random") ~seed:3
         in
         check_true "outcome" obs.Runner.outcome_ok;
         check_true "result" obs.Runner.result_ok;
@@ -143,31 +143,99 @@ let runner_tests =
     test "fga_bare checks Lemma 25 and 1-minimality" (fun () ->
         let g = Workload.complete.Workload.build ~seed:1 ~n:7 in
         let obs =
-          Runner.fga_bare ~spec:Spec.global_powerful ~graph:g
-            ~daemon:(Runner.daemon_by_name "central-random") ~seed:4 ()
+          Runner.run (Runner.alliance_bare Spec.global_powerful) ~graph:g
+            ~daemon:(Runner.daemon_by_name "central-random") ~seed:4
         in
         check_true "outcome" obs.Runner.outcome_ok;
         check_true "result" obs.Runner.result_ok);
     test "tail_unison stabilizes and reports legitimacy" (fun () ->
         let g = Workload.path.Workload.build ~seed:1 ~n:9 in
         let obs =
-          Runner.tail_unison ~graph:g
-            ~daemon:(Runner.daemon_by_name "synchronous") ~seed:5 ()
+          Runner.run Runner.tail_unison ~graph:g
+            ~daemon:(Runner.daemon_by_name "synchronous") ~seed:5
         in
         check_true "outcome" obs.Runner.outcome_ok;
         check_true "result" obs.Runner.result_ok);
     test "coloring and MIS runners report silence" (fun () ->
         let g = Workload.sparse_random.Workload.build ~seed:2 ~n:10 in
         let col =
-          Runner.coloring_composed ~graph:g
-            ~daemon:(Runner.daemon_by_name "locally-central") ~seed:6 ()
+          Runner.run Runner.coloring ~graph:g
+            ~daemon:(Runner.daemon_by_name "locally-central") ~seed:6
         in
         let mis =
-          Runner.mis_composed ~graph:g
-            ~daemon:(Runner.daemon_by_name "round-robin") ~seed:7 ()
+          Runner.run Runner.mis ~graph:g
+            ~daemon:(Runner.daemon_by_name "round-robin") ~seed:7
         in
         check_true "coloring" (col.Runner.outcome_ok && col.Runner.result_ok);
         check_true "mis" (mis.Runner.outcome_ok && mis.Runner.result_ok)) ]
+
+(* ---------------------------- Runner pins ------------------------------ *)
+
+(* Every system, run once bare and once streaming into a sink with step
+   tracing, on one small graph x daemon x seed.  Each run contributes its
+   observation, the per-type record counts of its stream and its summary
+   record, all with the wall-clock fields removed; the lines must match
+   [runner_pins.txt] exactly, so any change of behaviour in the runners
+   shows up as a diff. *)
+
+module Json = Ssreset_obs.Json
+module Sink = Ssreset_obs.Sink
+
+let rec strip_clock = function
+  | Json.Obj kvs ->
+      Json.Obj
+        (List.filter_map
+           (fun (k, v) ->
+             if k = "wall_s" || k = "steps_per_s" then None
+             else Some (k, strip_clock v))
+           kvs)
+  | Json.List l -> Json.List (List.map strip_clock l)
+  | j -> j
+
+let nonempty_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let pin_lines () =
+  let graph = Workload.sparse_random.Workload.build ~seed:2 ~n:8 in
+  List.concat_map
+    (fun system ->
+      let name = Runner.name system in
+      let run ?sink () =
+        Runner.run ?sink ~trace_steps:(Option.is_some sink) system ~graph
+          ~daemon:(Runner.daemon_by_name "distributed-random") ~seed:3
+      in
+      let obs_line obs = Json.to_string (strip_clock (Runner.obs_json obs)) in
+      let bare = run () in
+      let path = Filename.temp_file "ssreset-pin" ".jsonl" in
+      let sink = Sink.create path in
+      let sunk = run ~sink () in
+      Sink.close sink;
+      let records = List.map Json.of_string_exn (nonempty_lines path) in
+      Sys.remove path;
+      let type_of j = Option.bind (Json.member "type" j) Json.to_string_opt in
+      let counts =
+        List.map
+          (fun ty ->
+            let n = List.filter (fun j -> type_of j = Some ty) records in
+            Printf.sprintf "%s=%d" ty (List.length n))
+          [ "init"; "round"; "step"; "anomaly"; "summary" ]
+      in
+      let summary = List.find (fun j -> type_of j = Some "summary") records in
+      [ Printf.sprintf "%s obs %s" name (obs_line bare);
+        Printf.sprintf "%s sunk-obs %s" name (obs_line sunk);
+        Printf.sprintf "%s records %s" name (String.concat " " counts);
+        Printf.sprintf "%s summary %s" name
+          (Json.to_string (strip_clock summary)) ])
+    (Runner.systems ~spec:Spec.dominating_set @ [ Runner.unison_bare ])
+
+let pin_tests =
+  [ test "every system reproduces its pinned run" (fun () ->
+        let expected = nonempty_lines "runner_pins.txt" in
+        let actual = pin_lines () in
+        check_int "line count" (List.length expected) (List.length actual);
+        List.iter2 (check Alcotest.string "pinned line") expected actual) ]
 
 (* ------------------------------ Experiments ---------------------------- *)
 
@@ -216,4 +284,5 @@ let () =
     [ ("table", table_tests);
       ("workload", workload_tests);
       ("runner", runner_tests);
+      ("pins", pin_tests);
       ("experiments", experiment_tests) ]

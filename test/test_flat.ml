@@ -549,6 +549,43 @@ let observability_tests =
           (Progs.digest p r));
   ]
 
+(* ------------------------------ observation ----------------------------- *)
+
+(* The flat engine counts moves per rule and per process but does not
+   attribute SDR moves to processes, so its observation (built like the
+   classic bare runs') must leave the per-process SDR maximum unmeasured
+   rather than report 0. *)
+module Runner = Ssreset_expt.Runner
+module Json = Ssreset_obs.Json
+
+let flat_observation (r : Flat.result) =
+  Runner.observation
+    ~outcome_ok:(r.Flat.outcome = Engine.Stabilized)
+    ~result_ok:r.Flat.legitimate ~rounds:r.Flat.rounds ~moves:r.Flat.moves
+    ~steps:r.Flat.steps ~moves_per_process:r.Flat.moves_per_process
+    ~moves_per_rule:r.Flat.moves_per_rule ~wall_s:r.Flat.wall_s
+
+let observation_tests =
+  [
+    test "flat U∘SDR reports max_proc_sdr_moves as unmeasured" (fun () ->
+        let p = scale_prog ~n:64 ~faults:8 () in
+        let o = flat_observation (Flat.run ~daemon:Flat.Synchronous p) in
+        check_true "SDR moves counted" (o.Runner.sdr_moves > 0);
+        check Alcotest.(option int) "max_proc_sdr_moves" None
+          o.Runner.max_proc_sdr_moves;
+        check_true "null in JSON"
+          (Json.member "max_proc_sdr_moves" (Runner.obs_json o)
+          = Some Json.Null));
+    test "flat tail-unison makes no SDR move, so its maximum is 0" (fun () ->
+        let e = Option.get (Progs.find "tail-unison") in
+        let p = Progs.build e (Csr.ring 32) in
+        Progs.init_random p ~rng:(rng 3);
+        let o = flat_observation (Flat.run ~daemon:Flat.Synchronous p) in
+        check_int "sdr_moves" 0 o.Runner.sdr_moves;
+        check Alcotest.(option int) "max_proc_sdr_moves" (Some 0)
+          o.Runner.max_proc_sdr_moves);
+  ]
+
 (* ----------------------------- scale smoke ------------------------------ *)
 
 let scale_tests =
@@ -570,5 +607,6 @@ let () =
       ("partitioned", partition_tests);
       ("observability", observability_tests);
       ("composed-ir", composed_ir_tests);
+      ("observation", observation_tests);
       ("scale", scale_tests);
     ]

@@ -248,9 +248,9 @@ let integration_tests =
         let graph = Workload.ring.Workload.build ~seed:1 ~n:10 in
         let sink = Sink.create path in
         let obs =
-          Runner.unison_composed ~sink ~graph
+          Runner.run ~sink Runner.unison ~graph
             ~daemon:(Runner.daemon_by_name "synchronous")
-            ~seed:3 ()
+            ~seed:3
         in
         Sink.close sink;
         let records = List.map Json.of_string_exn (read_lines path) in
@@ -271,9 +271,9 @@ let integration_tests =
     test "telemetry does not change the measured run" (fun () ->
         let graph = Workload.ring.Workload.build ~seed:1 ~n:10 in
         let run ?sink () =
-          Runner.unison_composed ?sink ~graph
+          Runner.run ?sink Runner.unison ~graph
             ~daemon:(Runner.daemon_by_name "distributed-random")
-            ~seed:9 ()
+            ~seed:9
         in
         let bare = run () in
         let path = Filename.temp_file "ssreset-run" ".jsonl" in
@@ -289,9 +289,8 @@ let integration_tests =
     test "obs_json reports nulls for unmeasured fields" (fun () ->
         let graph = Workload.complete.Workload.build ~seed:1 ~n:6 in
         let obs =
-          Runner.fga_bare ~spec:Ssreset_alliance.Spec.dominating_set ~graph
-            ~daemon:(Runner.daemon_by_name "central-random")
-            ~seed:2 ()
+          Runner.run (Runner.alliance_bare Ssreset_alliance.Spec.dominating_set)
+            ~graph ~daemon:(Runner.daemon_by_name "central-random") ~seed:2
         in
         check Alcotest.(option bool) "bare segments unmeasured" None
           (Option.map (fun _ -> true) obs.Runner.segments);

@@ -278,8 +278,8 @@ let prof_rule_attribution () =
   let graph = Gen.ring 24 in
   let p = Prof.create () in
   let obs =
-    Runner.unison_composed ~prof:p ~graph
-      ~daemon:(fresh_daemon "central-random") ~seed:4 ()
+    Runner.run ~prof:p Runner.unison ~graph
+      ~daemon:(fresh_daemon "central-random") ~seed:4
   in
   let m = Prof.metrics p in
   let moves =
@@ -311,8 +311,8 @@ let windows_validate_round_trip () =
            ~daemon:"central-random" ~window_steps:16 ());
       let p = Prof.create ~window_steps:16 ~sink () in
       let obs =
-        Runner.unison_composed ~prof:p ~graph
-          ~daemon:(fresh_daemon "central-random") ~seed:2 ()
+        Runner.run ~prof:p Runner.unison ~graph
+          ~daemon:(fresh_daemon "central-random") ~seed:2
       in
       Prof.write_summary p;
       Sink.close sink;

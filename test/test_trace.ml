@@ -397,8 +397,8 @@ let record_unison ~seed ~n =
        ~system:"unison" ~family:"ring" ~n ~m:(Graph.m g) ~seed
        ~daemon:"synchronous" ());
   let obs =
-    Runner.unison_composed ~sink ~trace_steps:true ~graph:g
-      ~daemon:Daemon.synchronous ~seed ()
+    Runner.run ~sink ~trace_steps:true Runner.unison ~graph:g
+      ~daemon:Daemon.synchronous ~seed
   in
   Sink.close sink;
   let t =
