@@ -286,6 +286,9 @@ let print_beat (b : Flat.beat) =
        Printf.sprintf "  avail %.3f" b.Flat.hb_availability
      else "")
 
+(* The flat catalogue calls the composed U∘SDR program [unison-sdr]. *)
+let flat_catalogue_name = function "unison" -> "unison-sdr" | s -> s
+
 (* The flat data-path engine runs the systems whose symbolic IR is in the
    catalogue (the three unisons).  It shares the report/JSON pipeline
    through the runner's bare observation: per-process SDR attribution and
@@ -293,16 +296,17 @@ let print_beat (b : Flat.beat) =
    unmeasured here. *)
 let run_flat ~output ~system ~family ~n ~seed ~daemon_name ~parts ~perturb
     ~digest ~monitors ~heartbeat =
-  let catalogue_name =
-    match system with "unison" -> "unison-sdr" | s -> s
-  in
+  let catalogue_name = flat_catalogue_name system in
   match FlatProgs.find catalogue_name with
   | None ->
       Fmt.epr
-        "engine flat runs %s (got %S); the other systems have no symbolic \
-         IR to compile yet@."
+        "ssreset: engine flat runs %s (got %S); the other systems have no \
+         symbolic IR to compile yet@."
         (String.concat ", "
-           (List.map (fun e -> e.FlatProgs.pname) FlatProgs.entries))
+           (List.filter
+              (fun s -> FlatProgs.find (flat_catalogue_name s) <> None)
+              (List.map Runner.name
+                 (Runner.systems ~spec:Spec.dominating_set))))
         system;
       2
   | Some entry -> (
@@ -410,13 +414,13 @@ let run_cmd =
     | _ when output.trace_steps && output.trace_out = None ->
         Fmt.epr "ssreset: --trace-steps needs --trace-out FILE@.";
         2
-    | "classic", Some system ->
-        run_classic ~output ~system ~family ~n ~seed ~daemon_name
-    | "classic", None ->
+    | ("classic" | "flat"), None ->
         Fmt.epr "ssreset: unknown system %S (one of: %s)@." system
           (String.concat ", " (List.map Runner.name systems));
         2
-    | "flat", _ ->
+    | "classic", Some system ->
+        run_classic ~output ~system ~family ~n ~seed ~daemon_name
+    | "flat", Some _ ->
         run_flat ~output ~system ~family ~n ~seed ~daemon_name ~parts ~perturb
           ~digest ~monitors ~heartbeat
     | e, _ ->

@@ -648,31 +648,6 @@ let requirement ~algo (spec : Sym.spec) family ~id ~descr body =
     ~descr ctx
     [ assert_ (exists1 "u" "Node" (Smt.app "not" [ goal ])) ]
 
-(* Re-site a Self-only quantifier-free form at the bound neighbor. *)
-let rec nbrize_term = function
-  | (Sym.Num _ | Sym.Bool _ | Sym.Param _ | Sym.Ctor _) as t -> t
-  | Sym.Var (Sym.Self, f) -> Sym.Var (Sym.Nbr, f)
-  | Sym.Var (Sym.Nbr, _) ->
-      invalid_arg "Obligation: p_reset must read Self fields only"
-  | Sym.Add (a, b) -> Sym.Add (nbrize_term a, nbrize_term b)
-  | Sym.Sub (a, b) -> Sym.Sub (nbrize_term a, nbrize_term b)
-  | Sym.Neg a -> Sym.Neg (nbrize_term a)
-  | Sym.Ite (c, a, b) -> Sym.Ite (nbrize_form c, nbrize_term a, nbrize_term b)
-  | Sym.Min_nbr _ | Sym.Mex_nbr _ | Sym.Count_nbr _ ->
-      invalid_arg "Obligation: p_reset must be quantifier-free"
-
-and nbrize_form = function
-  | Sym.Const _ as f -> f
-  | Sym.Not f -> Sym.Not (nbrize_form f)
-  | Sym.And fs -> Sym.And (List.map nbrize_form fs)
-  | Sym.Or fs -> Sym.Or (List.map nbrize_form fs)
-  | Sym.Imp (a, b) -> Sym.Imp (nbrize_form a, nbrize_form b)
-  | Sym.Eq (a, b) -> Sym.Eq (nbrize_term a, nbrize_term b)
-  | Sym.Le (a, b) -> Sym.Le (nbrize_term a, nbrize_term b)
-  | Sym.Lt (a, b) -> Sym.Lt (nbrize_term a, nbrize_term b)
-  | Sym.Forall_nbr _ | Sym.Exists_nbr _ ->
-      invalid_arg "Obligation: p_reset must be quantifier-free"
-
 let requirements ~algo (spec : Sym.spec) family =
   let ir = spec.Sym.sp_ir in
   let form f ctx = c_form ctx ~node:"u" ~cur:None ~post:false f in
@@ -715,6 +690,11 @@ let requirements ~algo (spec : Sym.spec) family =
   let reset_icorrect =
     match (spec.Sym.sp_p_reset, spec.Sym.sp_p_icorrect) with
     | Some p_reset, Some p_ic ->
+        (* p_reset reads only Self fields, so re-siting every field at the
+           bound neighbor states it there. *)
+        let at_nbr =
+          List.map (fun (f, _) -> (f, Sym.Var (Sym.Nbr, f))) ir.Sym.fields
+        in
         [ requirement ~algo spec family ~id:"reset-icorrect"
             ~descr:
               "a reset process whose neighbors are all reset is locally \
@@ -722,7 +702,8 @@ let requirements ~algo (spec : Sym.spec) family =
             (form
                (Sym.Imp
                   ( Sym.And
-                      [ p_reset; Sym.Forall_nbr (nbrize_form p_reset) ],
+                      [ p_reset;
+                        Sym.Forall_nbr (Sym.subst_self at_nbr p_reset) ],
                     p_ic ))) ]
     | _ -> []
   in

@@ -11,6 +11,7 @@ module Matching = Ssreset_matching.Matching
 module Fga = Ssreset_alliance.Fga
 module Spec = Ssreset_alliance.Spec
 module Checker = Ssreset_alliance.Checker
+module Specs = Ssreset_ir.Specs
 
 type entry = {
   name : string;
@@ -88,103 +89,19 @@ let undecided_cert ~rules undecided =
           (fun acc s -> acc + if undecided s.Sdr.inner then 1 else 0)
           0 cfg ])
 
-(* --- symbolic rule IRs -------------------------------------------------
+(* --- symbolic IR instances ----------------------------------------------
 
-   First-order executable specs of the unison rule cores, attached
-   alongside the OCaml rules.  {!run}'s differential pass checks them
-   against the concrete algorithms view-by-view and under every daemon;
-   {!Obligation.compile} turns the same IRs into unbounded-n SMT
-   obligations.  The mod-K arithmetic is expressed with if-then-else
-   ([({c}+1) mod K] is [ite (c = K-1) 0 (c+1)]), exact on the declared
-   clock ranges. *)
-
-let s_c = Sym.Var (Sym.Self, "c")
-let s_b = Sym.Var (Sym.Nbr, "c")
-
-let s_incmod t =
-  Sym.Ite
-    ( Sym.Eq (t, Sym.Sub (Sym.Param "K", Sym.Num 1)),
-      Sym.Num 0,
-      Sym.Add (t, Sym.Num 1) )
-
-let s_decmod t =
-  Sym.Ite
-    ( Sym.Eq (t, Sym.Num 0),
-      Sym.Sub (Sym.Param "K", Sym.Num 1),
-      Sym.Sub (t, Sym.Num 1) )
-
-(* P_Ok(u,v): v's clock is within one increment of u's (mod K). *)
-let s_ring_ok =
-  Sym.Or
-    [ Sym.Eq (s_b, s_c); Sym.Eq (s_b, s_incmod s_c); Sym.Eq (s_b, s_decmod s_c) ]
-
-(* P_Up(u): every neighbor is at u's value or one ahead. *)
-let s_up = Sym.Or [ Sym.Eq (s_b, s_c); Sym.Eq (s_b, s_incmod s_c) ]
-
-let tail_core_spec ~ir_name ~reset ~climb ~tick =
-  let compatible =
-    Sym.Or
-      [ Sym.And [ Sym.Le (Sym.Num 0, s_b); s_ring_ok ];
-        Sym.And [ Sym.Lt (s_b, Sym.Num 0); Sym.Le (s_c, Sym.Num 1) ] ]
-  in
-  let ir =
-    { Sym.ir_name;
-      fields = [ ("c", Sym.TInt) ];
-      params =
-        [ { Sym.pname = "K"; lower = Some 4 };
-          { Sym.pname = "alpha"; lower = Some 1 } ];
-      ranges = [ ("c", Sym.Neg (Sym.Param "alpha"), Sym.Param "K") ];
-      rules =
-        [ { Sym.rule = reset;
-            guard =
-              Sym.And
-                [ Sym.Le (Sym.Num 0, s_c);
-                  Sym.Exists_nbr (Sym.Not compatible) ];
-            assigns = [ ("c", Sym.Neg (Sym.Param "alpha")) ] };
-          { Sym.rule = climb;
-            guard =
-              Sym.And
-                [ Sym.Lt (s_c, Sym.Num 0);
-                  Sym.Forall_nbr (Sym.Le (s_c, s_b));
-                  Sym.Or
-                    [ Sym.Lt (s_c, Sym.Num (-1));
-                      Sym.Forall_nbr (Sym.Le (s_b, Sym.Num 1)) ] ];
-            assigns = [ ("c", Sym.Add (s_c, Sym.Num 1)) ] };
-          { Sym.rule = tick;
-            guard =
-              Sym.And [ Sym.Le (Sym.Num 0, s_c); Sym.Forall_nbr s_up ];
-            assigns = [ ("c", s_incmod s_c) ] } ] }
-  in
-  { (Sym.spec_of_ir ir) with
-    Sym.sp_legitimate =
-      Some (Sym.And [ Sym.Le (Sym.Num 0, s_c); Sym.Forall_nbr s_ring_ok ]);
-    sp_cert =
-      Some
-        { Sym.cs_name = "climb-debt";
-          cs_rules = [ climb ];
-          cs_local = Sym.Ite (Sym.Lt (s_c, Sym.Num 0), Sym.Neg s_c, Sym.Num 0)
-        };
-    (* Same measure as the certificate, replayed through the global
-       implicit-rankings pipeline: {!Obligation} additionally proves the
-       multiset/lex step argument ([rank-step]) the pointwise
-       cert-decrease obligations only sketch. *)
-    sp_rank =
-      Some
-        { Sym.rk_name = "climb-debt";
-          rk_rules = [ climb ];
-          rk_components =
-            [ Sym.Ite (Sym.Lt (s_c, Sym.Num 0), Sym.Neg s_c, Sym.Num 0) ] }
-  }
-
-let tail_unison_spec =
-  tail_core_spec ~ir_name:"tail-unison" ~reset:Tail_unison.rule_reset
-    ~climb:Tail_unison.rule_climb ~tick:Tail_unison.rule_tick
-
-let min_unison_spec =
-  tail_core_spec ~ir_name:"min-unison" ~reset:Min_unison.rule_zero
-    ~climb:Min_unison.rule_climb ~tick:Min_unison.rule_tick
+   The unison specs are {!Ssreset_ir.Specs}; {!run}'s differential pass
+   checks them against the concrete algorithms view-by-view and under every
+   daemon, and {!Obligation.compile} turns them into unbounded-n SMT
+   obligations. *)
 
 let encode_clock c = [ ("c", Sym.VInt c) ]
+
+let encode_sdr encode_inner (s : _ Sdr.state) =
+  ("st", Sym.VEnum (Sdr.status_to_string s.Sdr.st))
+  :: ("d", Sym.VInt s.Sdr.d)
+  :: encode_inner s.Sdr.inner
 
 let tail_unison_sym g =
   let n = Graph.n g in
@@ -193,7 +110,7 @@ let tail_unison_sym g =
     let k = k
     let alpha = alpha
   end) in
-  Sym.make_instance ~spec:tail_unison_spec
+  Sym.make_instance ~spec:Specs.tail_unison_spec
     ~params:[ ("K", k); ("alpha", alpha) ]
     ~algorithm:T.algorithm ~graph:g
     ~domain:(fun _ -> List.init (k + alpha) (fun i -> i - alpha))
@@ -207,34 +124,12 @@ let min_unison_sym g =
     let k = k
     let alpha = alpha
   end) in
-  Sym.make_instance ~spec:min_unison_spec
+  Sym.make_instance ~spec:Specs.min_unison_spec
     ~params:[ ("K", k); ("alpha", alpha) ]
     ~algorithm:M.algorithm ~graph:g
     ~domain:(fun _ -> List.init (k + alpha) (fun i -> i - alpha))
     ~encode:encode_clock
     ~is_legitimate:(M.is_legitimate g) ()
-
-(* The unison SDR input layer (Algorithm 2), with the full §3.5 reset
-   interface: p_icorrect / p_reset / reset back the requirement
-   obligations of {!Obligation}.  The differential validates the IR
-   against the {e bare} input algorithm — the composed transformer's
-   correctness on top of it is the model checker's job. *)
-let unison_input_spec =
-  let ir =
-    { Sym.ir_name = "unison";
-      fields = [ ("c", Sym.TInt) ];
-      params = [ { Sym.pname = "K"; lower = Some 2 } ];
-      ranges = [ ("c", Sym.Num 0, Sym.Param "K") ];
-      rules =
-        [ { Sym.rule = Unison.rule_inc;
-            guard = Sym.Forall_nbr s_up;
-            assigns = [ ("c", s_incmod s_c) ] } ] }
-  in
-  { (Sym.spec_of_ir ir) with
-    Sym.sp_legitimate = Some (Sym.Forall_nbr s_ring_ok);
-    sp_p_icorrect = Some (Sym.Forall_nbr s_ring_ok);
-    sp_p_reset = Some (Sym.Eq (s_c, Sym.Num 0));
-    sp_reset = Some [ ("c", Sym.Num 0) ] }
 
 let unison_params g =
   let n = Graph.n g in
@@ -258,7 +153,7 @@ let unison_sym g =
   let module U = Unison.Make (struct
     let k = k
   end) in
-  Sym.make_instance ~spec:unison_input_spec
+  Sym.make_instance ~spec:Specs.unison_input_spec
     ~params:[ ("K", k) ]
     ~algorithm:U.bare ~graph:g
     ~domain:(fun _ -> List.init k Fun.id)
@@ -267,135 +162,16 @@ let unison_sym g =
       Algorithm.for_all_views g cfg ~f:(fun _ v -> U.Input.p_icorrect v))
     ()
 
-(* --- the composed U∘SDR system as one symbolic IR ---------------------
-
-   Unlike {!unison_input_spec} (the bare input layer), this spec describes
-   the {e whole} transformed algorithm — SDR-RB/RF/C/R plus the lifted
-   U-inc — with the SDR variables as explicit fields (st as an enum, d as
-   an int).  It is the source of truth the flat data-path engine compiles
-   to closures over unboxed arrays, and the flat-vs-classic differential
-   validates it against [Sdr.Make]'s OCaml rules the same way {!Sym.check}
-   does here.  SDR-RB's distance update needs the neighborhood minimum,
-   hence {!Sym.Min_nbr}.  Attached to the unison-sdr entry as its
-   [comp_spec]: {!Obligation.compile_composition} turns the wave rank
-   below into the PADEC-style [comp.*] obligations (reset-layer rank
-   decrease, input-layer rank silence), the solver-checkable half of the
-   composed convergence argument. *)
-
-let unison_sdr_composed_spec =
-  let st_s = Sym.Var (Sym.Self, "st") and st_b = Sym.Var (Sym.Nbr, "st") in
-  let d_s = Sym.Var (Sym.Self, "d") and d_b = Sym.Var (Sym.Nbr, "d") in
-  let c_C = Sym.Ctor "C" and c_RB = Sym.Ctor "RB" and c_RF = Sym.Ctor "RF" in
-  let reset_s = Sym.Eq (s_c, Sym.Num 0) in
-  let reset_b = Sym.Eq (s_b, Sym.Num 0) in
-  let p_rb = Sym.And [ Sym.Eq (st_s, c_C); Sym.Exists_nbr (Sym.Eq (st_b, c_RB)) ] in
-  let p_rf =
-    Sym.And
-      [ Sym.Eq (st_s, c_RB);
-        reset_s;
-        Sym.Forall_nbr
-          (Sym.Or
-             [ Sym.And [ Sym.Eq (st_b, c_RB); Sym.Le (d_b, d_s) ];
-               Sym.And [ Sym.Eq (st_b, c_RF); reset_b ] ]) ]
-  in
-  (* ok(s) of P_C, sited at self and at the bound neighbor. *)
-  let ok_self =
-    Sym.And
-      [ reset_s;
-        Sym.Or [ Sym.And [ Sym.Eq (st_s, c_RF); Sym.Le (d_s, d_s) ];
-                 Sym.Eq (st_s, c_C) ] ]
-  in
-  let ok_nbr =
-    Sym.And
-      [ reset_b;
-        Sym.Or [ Sym.And [ Sym.Eq (st_b, c_RF); Sym.Le (d_s, d_b) ];
-                 Sym.Eq (st_b, c_C) ] ]
-  in
-  let p_c = Sym.And [ Sym.Eq (st_s, c_RF); ok_self; Sym.Forall_nbr ok_nbr ] in
-  let p_r1 =
-    Sym.And
-      [ Sym.Eq (st_s, c_C); Sym.Not reset_s;
-        Sym.Exists_nbr (Sym.Eq (st_b, c_RF)) ]
-  in
-  let p_r2 = Sym.And [ Sym.Not (Sym.Eq (st_s, c_C)); Sym.Not reset_s ] in
-  let p_icorrect = Sym.Forall_nbr s_ring_ok in
-  let p_correct = Sym.Or [ Sym.Not (Sym.Eq (st_s, c_C)); p_icorrect ] in
-  let p_up = Sym.And [ Sym.Not p_rb; Sym.Or [ p_r1; p_r2; Sym.Not p_correct ] ] in
-  let p_clean =
-    Sym.And [ Sym.Eq (st_s, c_C); Sym.Forall_nbr (Sym.Eq (st_b, c_C)) ]
-  in
-  let ir =
-    { Sym.ir_name = "unison-sdr-composed";
-      fields =
-        [ ("st", Sym.TEnum ("Status", [ "C"; "RB"; "RF" ]));
-          ("d", Sym.TInt);
-          ("c", Sym.TInt) ];
-      params =
-        [ { Sym.pname = "K"; lower = Some 2 };
-          { Sym.pname = "MaxD"; lower = Some 0 } ];
-      ranges =
-        [ ("c", Sym.Num 0, Sym.Param "K");
-          ("d", Sym.Num 0, Sym.Add (Sym.Param "MaxD", Sym.Num 1)) ];
-      rules =
-        [ { Sym.rule = "SDR-RB";
-            guard = p_rb;
-            assigns =
-              [ ("st", c_RB);
-                (* default unreachable: P_RB guarantees an RB neighbor *)
-                ("d",
-                 Sym.Add
-                   ( Sym.Min_nbr (Sym.Eq (st_b, c_RB), d_b, Sym.Num 0),
-                     Sym.Num 1 ));
-                ("c", Sym.Num 0) ] };
-          { Sym.rule = "SDR-RF"; guard = p_rf; assigns = [ ("st", c_RF) ] };
-          { Sym.rule = "SDR-C"; guard = p_c; assigns = [ ("st", c_C) ] };
-          { Sym.rule = "SDR-R";
-            guard = p_up;
-            assigns = [ ("st", c_RB); ("d", Sym.Num 0); ("c", Sym.Num 0) ] };
-          { Sym.rule = Unison.rule_inc;
-            guard = Sym.And [ p_clean; Sym.Forall_nbr s_up ];
-            assigns = [ ("c", s_incmod s_c) ] } ] }
-  in
-  { (Sym.spec_of_ir ir) with
-    Sym.sp_legitimate = Some (Sym.And [ p_clean; p_icorrect ]);
-    (* The symbolic twin of {!wave_completion}: RB = 2, RF = 1, C = 0 at
-       each process.  SDR-RF and SDR-C strictly decrease the mover's
-       component; U-inc writes only [c], so it is rank-silent and gets a
-       [comp.rank-frame] obligation.  SDR-RB and SDR-R restart waves (they
-       raise the rank by design) and stay uncovered. *)
-    sp_rank =
-      Some
-        { Sym.rk_name = "wave-completion";
-          rk_rules = [ "SDR-RF"; "SDR-C" ];
-          rk_components =
-            [ Sym.Ite
-                ( Sym.Eq (st_s, c_RB),
-                  Sym.Num 2,
-                  Sym.Ite (Sym.Eq (st_s, c_RF), Sym.Num 1, Sym.Num 0) ) ] }
-  }
-
-let unison_sdr_params_of_n n = [ ("K", n + 2); ("MaxD", n) ]
-
-let tail_unison_params_of_n n =
-  [ ("K", max 4 ((2 * n) + 2)); ("alpha", max 1 n) ]
-
-let min_unison_params_of_n n =
-  [ ("K", max 4 ((n * n) + 1)); ("alpha", max 1 (n - 2)) ]
-
-let encode_composed (s : Unison.clock Sdr.state) =
-  [ ("st", Sym.VEnum (Sdr.status_to_string s.Sdr.st));
-    ("d", Sym.VInt s.Sdr.d);
-    ("c", Sym.VInt s.Sdr.inner) ]
-
 let unison_sdr_composed_sym g =
   let k, domain = unison_params g in
   let module U = Unison.Make (struct
     let k = k
   end) in
-  Sym.make_instance ~spec:unison_sdr_composed_spec
-    ~params:(unison_sdr_params_of_n (Graph.n g))
+  Sym.make_instance
+    ~spec:(Sym.compose_sdr Specs.unison_input_spec)
+    ~params:(Specs.unison_sdr_params_of_n (Graph.n g))
     ~algorithm:U.Composed.algorithm ~graph:g ~domain
-    ~encode:encode_composed
+    ~encode:(encode_sdr encode_clock)
     ~is_legitimate:(U.Composed.is_normal g) ()
 
 let unison_sdr_footprint g =
@@ -610,6 +386,11 @@ let coloring_spec =
           rk_components =
             [ Sym.Ite (Sym.Eq (col_s, s_none), Sym.Num 1, Sym.Num 0) ] } }
 
+let encode_coloring (s : Coloring.state) =
+  [ ("id", Sym.VInt s.Coloring.id);
+    ("col", Sym.VInt (match s.Coloring.color with None -> -1 | Some c -> c))
+  ]
+
 let coloring_sym g =
   let module C = Coloring.Make (struct
     let graph = g
@@ -618,12 +399,7 @@ let coloring_sym g =
   Sym.make_instance ~spec:coloring_spec
     ~params:[ ("MaxId", Graph.n g - 1) ]
     ~algorithm:C.bare ~graph:g
-    ~domain:(coloring_inner g)
-    ~encode:(fun (s : Coloring.state) ->
-      [ ("id", Sym.VInt s.Coloring.id);
-        ("col",
-         Sym.VInt (match s.Coloring.color with None -> -1 | Some c -> c)) ])
-    ()
+    ~domain:(coloring_inner g) ~encode:encode_coloring ()
 
 let mis_spec =
   let m_s = Sym.Var (Sym.Self, "m") and m_b = Sym.Var (Sym.Nbr, "m") in
@@ -678,6 +454,15 @@ let mis_spec =
           rk_components =
             [ Sym.Ite (Sym.Eq (m_s, und), Sym.Num 1, Sym.Num 0) ] } }
 
+let encode_mis (s : Mis.state) =
+  [ ("id", Sym.VInt s.Mis.id);
+    ("m",
+     Sym.VEnum
+       (match s.Mis.m with
+       | Mis.Undecided -> "Und"
+       | Mis.In -> "In"
+       | Mis.Out -> "Out")) ]
+
 let mis_sym g =
   let module M = Mis.Make (struct
     let graph = g
@@ -685,16 +470,7 @@ let mis_sym g =
   end) in
   Sym.make_instance ~spec:mis_spec
     ~params:[ ("MaxId", Graph.n g - 1) ]
-    ~algorithm:M.bare ~graph:g ~domain:mis_inner
-    ~encode:(fun (s : Mis.state) ->
-      [ ("id", Sym.VInt s.Mis.id);
-        ("m",
-         Sym.VEnum
-           (match s.Mis.m with
-           | Mis.Undecided -> "Und"
-           | Mis.In -> "In"
-           | Mis.Out -> "Out")) ])
-    ()
+    ~algorithm:M.bare ~graph:g ~domain:mis_inner ~encode:encode_mis ()
 
 let matching_spec =
   let ptr_s = Sym.Var (Sym.Self, "ptr")
@@ -759,6 +535,10 @@ let matching_spec =
     sp_p_reset = Some (Sym.Eq (ptr_s, s_none));
     sp_reset = Some [ ("ptr", s_none) ] }
 
+let encode_matching (s : Matching.state) =
+  [ ("id", Sym.VInt s.Matching.id);
+    ("ptr", Sym.VInt (match s.Matching.ptr with None -> -1 | Some p -> p)) ]
+
 let matching_sym g =
   let module M = Matching.Make (struct
     let graph = g
@@ -767,12 +547,7 @@ let matching_sym g =
   Sym.make_instance ~spec:matching_spec
     ~params:[ ("MaxId", Graph.n g - 1) ]
     ~algorithm:M.bare ~graph:g
-    ~domain:(matching_inner g)
-    ~encode:(fun (s : Matching.state) ->
-      [ ("id", Sym.VInt s.Matching.id);
-        ("ptr",
-         Sym.VInt (match s.Matching.ptr with None -> -1 | Some p -> p)) ])
-    ()
+    ~domain:(matching_inner g) ~encode:encode_matching ()
 
 (* FGA specialized to [Spec.dominating_set] (f = 1, g = 0), matching the
    registry instance: the thresholds are the parameter [F] (lower bound 1)
@@ -923,6 +698,13 @@ let fga_spec =
         [ ("col", tt); ("ptr", s_none); ("can_q", tt); ("scr", Sym.Num 1) ]
   }
 
+let encode_fga (s : Fga.state) =
+  [ ("id", Sym.VInt s.Fga.id);
+    ("col", Sym.VBool s.Fga.col);
+    ("scr", Sym.VInt s.Fga.scr);
+    ("can_q", Sym.VBool s.Fga.can_q);
+    ("ptr", Sym.VInt (match s.Fga.ptr with None -> -1 | Some p -> p)) ]
+
 let fga_sym g =
   let spec = Spec.dominating_set in
   let module A = Fga.Make (struct
@@ -933,15 +715,7 @@ let fga_sym g =
   Sym.make_instance ~spec:fga_spec
     ~params:[ ("MaxId", Graph.n g - 1); ("F", 1) ]
     ~algorithm:A.bare ~graph:g
-    ~domain:(fga_inner spec g)
-    ~encode:(fun (s : Fga.state) ->
-      [ ("id", Sym.VInt s.Fga.id);
-        ("col", Sym.VBool s.Fga.col);
-        ("scr", Sym.VInt s.Fga.scr);
-        ("can_q", Sym.VBool s.Fga.can_q);
-        ("ptr", Sym.VInt (match s.Fga.ptr with None -> -1 | Some p -> p))
-      ])
-    ()
+    ~domain:(fga_inner spec g) ~encode:encode_fga ()
 
 (* --- registry -------------------------------------------------------- *)
 
@@ -956,7 +730,7 @@ let entries =
       instance = min_unison;
       footprint = None;
       sym = Some min_unison_sym;
-      smt_spec = Some min_unison_spec;
+      smt_spec = Some Specs.min_unison_spec;
       comp_spec = None };
     { name = "tail-unison";
       description = "tail-reset unison, K = 2n + 2, alpha = n";
@@ -968,7 +742,7 @@ let entries =
       instance = tail_unison;
       footprint = None;
       sym = Some tail_unison_sym;
-      smt_spec = Some tail_unison_spec;
+      smt_spec = Some Specs.tail_unison_spec;
       comp_spec = None };
     { name = "unison-sdr";
       description = "unison composed with SDR, K = n + 2 (3n-round recovery)";
@@ -980,8 +754,8 @@ let entries =
       instance = unison_sdr;
       footprint = Some unison_sdr_footprint;
       sym = Some unison_sym;
-      smt_spec = Some unison_input_spec;
-      comp_spec = Some unison_sdr_composed_spec };
+      smt_spec = Some Specs.unison_input_spec;
+      comp_spec = Some (Sym.compose_sdr Specs.unison_input_spec) };
     { name = "coloring-sdr";
       description = "greedy (Δ+1)-coloring composed with SDR (silent)";
       expect_silent = true;

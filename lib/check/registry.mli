@@ -33,24 +33,9 @@ type entry = {
   comp_spec : Sym.spec option;
       (** the {e composed}-system spec whose rank family
           {!Obligation.compile_composition} turns into [comp.*]
-          obligations — only unison-sdr carries one
-          ({!unison_sdr_composed_spec}) *)
+          obligations — only unison-sdr carries one, derived as
+          [Sym.compose_sdr Ssreset_ir.Specs.unison_input_spec] *)
 }
-
-val tail_unison_spec : Sym.spec
-val min_unison_spec : Sym.spec
-(** Topology-parametric symbolic specs of the two self-contained unisons
-    (shared by the entries below and by the flat data-path engine). *)
-
-val unison_sdr_composed_spec : Sym.spec
-(** The {e whole} composed U∘SDR system as one symbolic IR: fields
-    [st : Status], [d : Int], [c : Int]; rules SDR-RB/RF/C/R plus the
-    lifted U-inc, in the engine's rule order.  The source program of the
-    flat engine's closure compiler; validated against [Sdr.Make]'s OCaml
-    rules by {!unison_sdr_composed_sym}.  Carries the ["wave-completion"]
-    rank (RB = 2, RF = 1, C = 0, covered by SDR-RF/SDR-C) that
-    {!Obligation.compile_composition} exports as the [comp.*] obligation
-    family of the unison-sdr entry. *)
 
 val coloring_spec : Sym.spec
 val mis_spec : Sym.spec
@@ -62,16 +47,44 @@ val fga_spec : Sym.spec
     the full §3.5 reset interface; coloring and MIS also carry an
     ["undecided"] rank. *)
 
-val tail_unison_params_of_n : int -> (string * int) list
-val min_unison_params_of_n : int -> (string * int) list
-val unison_sdr_params_of_n : int -> (string * int) list
-(** Parameter valuations as a function of the process count, matching the
-    registry instances: tail [K = max 4 (2n+2), α = max 1 n]; min
-    [K = max 4 (n²+1), α = max 1 (n-2)]; composed [K = n+2, MaxD = n]. *)
-
 val unison_sdr_composed_sym : Ssreset_graph.Graph.t -> Sym.instance
-(** Differential instance for {!unison_sdr_composed_spec} on one graph
-    (the bounded oracle behind the flat engine's compiler). *)
+(** Differential instance for [Sym.compose_sdr unison_input_spec] against
+    [Sdr.Make]'s OCaml rules on one graph (the bounded oracle behind the
+    flat engine's compiler). *)
+
+val encode_sdr :
+  ('i -> (string * Sym.value) list) ->
+  'i Ssreset_core.Sdr.state ->
+  (string * Sym.value) list
+(** Composed-state encoding for any input encoder: [st], [d], then the
+    input's fields — the field layout of {!Sym.compose_sdr}. *)
+
+val encode_coloring :
+  Ssreset_coloring.Coloring.state -> (string * Sym.value) list
+
+val encode_mis : Ssreset_mis.Mis.state -> (string * Sym.value) list
+
+val encode_matching :
+  Ssreset_matching.Matching.state -> (string * Sym.value) list
+
+val encode_fga : Ssreset_alliance.Fga.state -> (string * Sym.value) list
+(** The input-layer encoders the differential instances use. *)
+
+val coloring_inner :
+  Ssreset_graph.Graph.t -> int -> Ssreset_coloring.Coloring.state list
+
+val mis_inner : int -> Ssreset_mis.Mis.state list
+
+val matching_inner :
+  Ssreset_graph.Graph.t -> int -> Ssreset_matching.Matching.state list
+
+val fga_inner :
+  Ssreset_alliance.Spec.t ->
+  Ssreset_graph.Graph.t ->
+  int ->
+  Ssreset_alliance.Fga.state list
+(** Per-process seed domains of the input layers (the inner half of the
+    composed entries' {!Finite.sdr_domain}). *)
 
 val entries : entry list
 (** min-unison, tail-unison, unison-sdr, coloring-sdr, mis-sdr,

@@ -1,4 +1,4 @@
-module Sym = Ssreset_check.Sym
+module Sym = Ssreset_ir.Sym
 module Csr = Ssreset_graph.Csr
 module Engine = Ssreset_sim.Engine
 module Daemon = Ssreset_sim.Daemon

@@ -1,5 +1,5 @@
 (** The flat data-path engine: registry algorithms compiled from their
-    symbolic rule IR ({!Ssreset_check.Sym}) onto unboxed state.
+    symbolic rule IR ({!Ssreset_ir.Sym}) onto unboxed state.
 
     The classic engine ({!Ssreset_sim.Engine}) is the semantic reference:
     per-process states are OCaml values, views are materialized records,
@@ -12,7 +12,7 @@
 
     The compilation is {e semantics-preserving by construction and by
     test}: the IR itself is differentially validated against the OCaml
-    rules ({!Ssreset_check.Sym.check}), and the flat runs are
+    rules ([Ssreset_check.Sym.check]), and the flat runs are
     differentially validated against {!Ssreset_sim.Engine.run} — same
     per-step movers, same post-states, same step/move/round counts, under
     every registered daemon (the RNG draw sequence of each daemon is
@@ -27,7 +27,7 @@
     or idempotent — so the results are identical for {e any} partition
     count, movers included. *)
 
-module Sym = Ssreset_check.Sym
+module Sym = Ssreset_ir.Sym
 module Csr = Ssreset_graph.Csr
 
 type kind = KInt | KBool | KEnum of string array

@@ -1,6 +1,6 @@
-module Sym = Ssreset_check.Sym
+module Sym = Ssreset_ir.Sym
 module Csr = Ssreset_graph.Csr
-module Registry = Ssreset_check.Registry
+module Specs = Ssreset_ir.Specs
 
 type entry = {
   pname : string;
@@ -14,37 +14,24 @@ let entries =
     {
       pname = "unison-sdr";
       describe = "composed U\xe2\x88\x98SDR (status/distance/clock)";
-      spec = Registry.unison_sdr_composed_spec;
-      params_of_n = Registry.unison_sdr_params_of_n;
+      spec = Sym.compose_sdr Specs.unison_input_spec;
+      params_of_n = Specs.unison_sdr_params_of_n;
     };
     {
       pname = "tail-unison";
       describe = "self-contained tail-biased unison";
-      spec = Registry.tail_unison_spec;
-      params_of_n = Registry.tail_unison_params_of_n;
+      spec = Specs.tail_unison_spec;
+      params_of_n = Specs.tail_unison_params_of_n;
     };
     {
       pname = "min-unison";
       describe = "self-contained min-repair unison";
-      spec = Registry.min_unison_spec;
-      params_of_n = Registry.min_unison_params_of_n;
+      spec = Specs.min_unison_spec;
+      params_of_n = Specs.min_unison_params_of_n;
     };
   ]
 
-let find name =
-  match List.find_opt (fun e -> String.equal e.pname name) entries with
-  | Some e -> Some e
-  | None -> (
-      let needle = String.lowercase_ascii name in
-      let contains hay =
-        let hay = String.lowercase_ascii hay in
-        let hl = String.length hay and nl = String.length needle in
-        let rec go i = i + nl <= hl && (String.equal (String.sub hay i nl) needle || go (i + 1)) in
-        nl > 0 && go 0
-      in
-      match List.filter (fun e -> contains e.pname) entries with
-      | [ e ] -> Some e
-      | _ -> None)
+let find name = List.find_opt (fun e -> String.equal e.pname name) entries
 
 let build e csrg = Flat.compile ~csr:csrg ~params:(e.params_of_n (Csr.n csrg)) e.spec
 
@@ -55,39 +42,6 @@ let init_ground p =
         Flat.set_int p ~field u 0
       done)
     (Flat.fields p)
-
-(* Closed-term evaluation for range bounds (well_formed guarantees they
-   mention only params and literals). *)
-let rec closed_term params (t : Sym.term) =
-  match t with
-  | Sym.Num k -> k
-  | Sym.Bool b -> if b then 1 else 0
-  | Sym.Param s -> (
-      match List.assoc_opt s params with
-      | Some v -> v
-      | None -> invalid_arg (Printf.sprintf "Progs: unbound parameter %s" s))
-  | Sym.Add (a, b) -> closed_term params a + closed_term params b
-  | Sym.Sub (a, b) -> closed_term params a - closed_term params b
-  | Sym.Neg a -> -closed_term params a
-  | Sym.Ite (c, a, b) ->
-      if closed_form params c then closed_term params a
-      else closed_term params b
-  | Sym.Var _ | Sym.Ctor _ | Sym.Min_nbr _ | Sym.Mex_nbr _ | Sym.Count_nbr _
-    ->
-      invalid_arg "Progs: range bound is not a closed term"
-
-and closed_form params (f : Sym.form) =
-  match f with
-  | Sym.Const b -> b
-  | Sym.Not f -> not (closed_form params f)
-  | Sym.And fs -> List.for_all (closed_form params) fs
-  | Sym.Or fs -> List.exists (closed_form params) fs
-  | Sym.Imp (a, b) -> (not (closed_form params a)) || closed_form params b
-  | Sym.Eq (a, b) -> closed_term params a = closed_term params b
-  | Sym.Le (a, b) -> closed_term params a <= closed_term params b
-  | Sym.Lt (a, b) -> closed_term params a < closed_term params b
-  | Sym.Forall_nbr _ | Sym.Exists_nbr _ ->
-      invalid_arg "Progs: range bound is not a closed form"
 
 let scramble_node p ranges ~rng u =
   Array.iter
@@ -106,7 +60,8 @@ let scramble_node p ranges ~rng u =
 let field_ranges p =
   let params = Flat.params p in
   List.map
-    (fun (f, lo, hi) -> (f, (closed_term params lo, closed_term params hi)))
+    (fun (f, lo, hi) ->
+      (f, (Sym.eval_closed ~params lo, Sym.eval_closed ~params hi)))
     (Flat.spec p).Sym.sp_ir.Sym.ranges
 
 let perturb p ~rng k =

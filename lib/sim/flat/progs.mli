@@ -1,11 +1,12 @@
-(** Catalogue of flat-engine programs: the registry algorithms whose
-    symbolic specs are topology-parametric, paired with the parameter
-    valuations the classic registry instances use ({!Ssreset_check.Registry}),
-    plus the initial-configuration builders of the scale workload
-    (legitimate ground state + [k] perturbed nodes — a 10⁶-node run then
-    stabilizes in wall-clock seconds instead of replaying a worst case). *)
+(** Catalogue of flat-engine programs: the symbolic specs of
+    {!Ssreset_ir.Specs} (the composed one derived by
+    {!Ssreset_ir.Sym.compose_sdr}), paired with the parameter valuations
+    the classic registry instances use, plus the initial-configuration
+    builders of the scale workload (legitimate ground state + [k] perturbed
+    nodes — a 10⁶-node run then stabilizes in wall-clock seconds instead of
+    replaying a worst case). *)
 
-module Sym = Ssreset_check.Sym
+module Sym = Ssreset_ir.Sym
 module Csr = Ssreset_graph.Csr
 
 type entry = {
@@ -20,7 +21,7 @@ val entries : entry list
     [min-unison]. *)
 
 val find : string -> entry option
-(** Exact name, then case-insensitive substring (unique match). *)
+(** Exact name only. *)
 
 val build : entry -> Csr.t -> Flat.prog
 

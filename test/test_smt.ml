@@ -7,6 +7,8 @@
      every connected graph up to n = 5, over strided view sweeps and under
      every registered daemon; the toy-badsym fixture's lying IR and the
      toy-badrank fixture's stuttering rank claim must both be caught.
+     [Sym.compose_sdr] of each of the five input specs must agree with
+     [Sdr.Make] of the same input.
    - printer/parser: Smt.to_string ∘ Smt.parse_string is the identity on
      the command list (modulo formatting), on every compiled obligation.
    - obligations: every compiled obligation (base families plus the
@@ -27,6 +29,8 @@ module Obligation = Ssreset_check.Obligation
 module Registry = Ssreset_check.Registry
 module Report = Ssreset_check.Report
 module Toy = Ssreset_check.Toy
+module Finite = Ssreset_check.Finite
+module Specs = Ssreset_ir.Specs
 
 let entry name =
   match
@@ -73,6 +77,81 @@ let differential_tests =
                 (Gen.all_connected n)
             done)
           es) ]
+
+(* [compose_sdr] of every input-layer spec, checked against [Sdr.Make] of
+   the same input: the derivation is generic, not tuned to unison (whose
+   composed instance the registry already carries). *)
+let composed_instances g =
+  let n = Graph.n g in
+  let inst ~spec ~params ~(algorithm : _ Sdr.state Algorithm.t) ~inner
+      ~encode ~is_normal =
+    Sym.make_instance ~spec:(Sym.compose_sdr spec)
+      ~params:(params @ [ ("MaxD", n) ])
+      ~algorithm ~graph:g
+      ~domain:(Finite.sdr_domain ~inner ~max_d:n)
+      ~encode:(Registry.encode_sdr encode) ~is_legitimate:(is_normal g) ()
+  in
+  let ids = [ ("MaxId", n - 1) ] in
+  let module C = Ssreset_coloring.Coloring.Make (struct
+    let graph = g
+    let ids = None
+  end) in
+  let module Mi = Ssreset_mis.Mis.Make (struct
+    let graph = g
+    let ids = None
+  end) in
+  let module Ma = Ssreset_matching.Matching.Make (struct
+    let graph = g
+    let ids = None
+  end) in
+  let spec = Ssreset_alliance.Spec.dominating_set in
+  let module A = Ssreset_alliance.Fga.Make (struct
+    let graph = g
+    let spec = spec
+    let ids = None
+  end) in
+  [ ("unison", Registry.unison_sdr_composed_sym g);
+    ( "coloring",
+      inst ~spec:Registry.coloring_spec ~params:ids
+        ~algorithm:C.Composed.algorithm ~inner:(Registry.coloring_inner g)
+        ~encode:Registry.encode_coloring ~is_normal:C.Composed.is_normal );
+    ( "mis",
+      inst ~spec:Registry.mis_spec ~params:ids
+        ~algorithm:Mi.Composed.algorithm ~inner:Registry.mis_inner
+        ~encode:Registry.encode_mis ~is_normal:Mi.Composed.is_normal );
+    ( "matching",
+      inst ~spec:Registry.matching_spec ~params:ids
+        ~algorithm:Ma.Composed.algorithm ~inner:(Registry.matching_inner g)
+        ~encode:Registry.encode_matching ~is_normal:Ma.Composed.is_normal );
+    ( "fga",
+      inst ~spec:Registry.fga_spec
+        ~params:(ids @ [ ("F", 1) ])
+        ~algorithm:A.Composed.algorithm
+        ~inner:(Registry.fga_inner spec g)
+        ~encode:Registry.encode_fga ~is_normal:A.Composed.is_normal ) ]
+
+let compose_tests =
+  [ test "compose_sdr of every input agrees with Sdr.Make" (fun () ->
+        List.iter
+          (fun g ->
+            List.iter
+              (fun (name, inst) ->
+                let d =
+                  Sym.check ~max_views_per_process:400 ~max_steps:100 inst
+                in
+                if not (Sym.diff_ok d) then
+                  Alcotest.failf "%s∘SDR (n=%d): %a" name (Graph.n g)
+                    Fmt.(list ~sep:(any "; ") Sym.pp_mismatch)
+                    d.Sym.mismatches;
+                check_true "probed views" (d.Sym.views > 0))
+              (composed_instances g))
+          [ Gen.path 3; Gen.ring 4; Gen.star 4 ]);
+    test "compose_sdr rejects an input without the reset interface"
+      (fun () ->
+        let ir = Specs.unison_input_spec.Sym.sp_ir in
+        match Sym.compose_sdr (Sym.spec_of_ir ir) with
+        | _ -> Alcotest.fail "no Invalid_argument"
+        | exception Invalid_argument _ -> ()) ]
 
 let fixture_tests =
   [ test "toy-badsym: the lying IR is caught by the differential" (fun () ->
@@ -326,6 +405,7 @@ let solver_tests =
 let () =
   Alcotest.run "smt"
     [ ("differential", differential_tests);
+      ("compose", compose_tests);
       ("fixtures", fixture_tests);
       ("roundtrip", roundtrip_tests);
       ("obligations", obligation_tests);

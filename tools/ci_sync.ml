@@ -32,6 +32,9 @@ let required =
     ("opam switch cache keyed on dune-project",
      "opam-${{ runner.os }}-${{ matrix.ocaml-compiler }}-${{ \
       hashFiles('dune-project') }}");
+    ( "flat engine does not import the verifier",
+      "ocamlobjinfo _build/default/lib/sim/flat/.ssreset_flat.objs/byte/*.cmo \
+       | grep Ssreset_check" );
     ( "flat scale smoke, sequential",
       "run unison --engine flat -g ring -n 100000 --perturb 5000 -d \
        synchronous --parts 1 --digest" );
