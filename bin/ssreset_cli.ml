@@ -253,15 +253,7 @@ let run_classic ~output ~system ~family ~n ~seed ~daemon_name =
             (Sink.manifest ~system:name ~family:family.Workload.family_name
                ~n:(Graph.n graph) ~m:(Graph.m graph) ~seed
                ~daemon:daemon.Daemon.daemon_name
-               ~extra:
-                 [ ("trace_schema", Json.String Tracefile.schema);
-                   ( "edges",
-                     Json.List
-                       (List.map
-                          (fun (u, v) ->
-                            Json.List [ Json.Int u; Json.Int v ])
-                          (Graph.edges graph)) ) ]
-               ());
+               ~extra:(Tracefile.manifest_extra graph) ());
           Fun.protect
             ~finally:(fun () -> Sink.close sink)
             (fun () -> run ~sink:(Some sink) ~prof)
@@ -1028,23 +1020,6 @@ let smt_cmd =
 
 (* ----------------------------- trace explorer --------------------------- *)
 
-(* Offline wave reconstruction: replay the recorded wave tags through the
-   same span builder the online tracker feeds. *)
-let span_of_trace (t : Tracefile.t) =
-  let graph = Tracefile.graph_of t in
-  let span = Span.create ~n:t.Tracefile.n in
-  Span.seed_active ~graph span
-    (List.map (fun (p, _, d) -> (p, d)) t.Tracefile.init_active);
-  List.iter
-    (fun (s : Tracefile.step) ->
-      Span.feed_step span ~step:s.Tracefile.index
-        (List.filter_map
-           (fun (m : Tracefile.mover) ->
-             Option.map (fun ev -> (m.Tracefile.p, ev)) m.Tracefile.wave)
-           s.Tracefile.movers))
-    t.Tracefile.steps;
-  span
-
 let causality_of_trace ?keep_edges (t : Tracefile.t) =
   Causality.build ?keep_edges ~graph:(Tracefile.graph_of t)
     (Tracefile.mover_pairs t)
@@ -1063,7 +1038,7 @@ let wave_moves_total (w : Span.wave) =
 
 let trace_summary ~json (t : Tracefile.t) =
   let s = t.Tracefile.summary in
-  let st = Span.stats (span_of_trace t) in
+  let st = Span.stats (Tracefile.span_of t) in
   let cp =
     if t.Tracefile.steps = [] then None
     else Some (Causality.critical_length (causality_of_trace t))
@@ -1125,7 +1100,7 @@ let trace_summary ~json (t : Tracefile.t) =
 
 let trace_waves ~json ~check (t : Tracefile.t) =
   require_steps t @@ fun () ->
-  let span = span_of_trace t in
+  let span = Tracefile.span_of t in
   let waves = Span.waves span in
   let st = Span.stats span in
   (if json then
@@ -1262,7 +1237,7 @@ let trace_critical_path ~json ~check (t : Tracefile.t) =
 let trace_dot ~what ~max_moves (t : Tracefile.t) =
   require_steps t @@ fun () ->
   (match what with
-  | `Waves -> print_string (Span.to_dot (span_of_trace t))
+  | `Waves -> print_string (Span.to_dot (Tracefile.span_of t))
   | `Causal ->
       print_string
         (Causality.to_dot ~max_moves (causality_of_trace ~keep_edges:true t)));
@@ -1270,8 +1245,8 @@ let trace_dot ~what ~max_moves (t : Tracefile.t) =
 
 let trace_diff ~json (a : Tracefile.t) (b : Tracefile.t) =
   let sa = a.Tracefile.summary and sb = b.Tracefile.summary in
-  let sta = Span.stats (span_of_trace a)
-  and stb = Span.stats (span_of_trace b) in
+  let sta = Span.stats (Tracefile.span_of a)
+  and stb = Span.stats (Tracefile.span_of b) in
   let cp (t : Tracefile.t) =
     if t.Tracefile.steps = [] then 0
     else Causality.critical_length (causality_of_trace t)

@@ -1,24 +1,22 @@
 (** Reading and validating [ssreset-prof-v1] JSONL profile streams.
 
-    The stream a profiled run ([--prof-out]) writes:
+    The stream a profiled run ([--prof-out]) writes, in the shared
+    {!Jsonl} envelope (manifest first, one summary last):
 
-    - one {e manifest} first, with [schema = "ssreset-prof-v1"] and the
-      run coordinates (system, family, n, m, seed, daemon, window_steps);
+    - the manifest carries [schema = "ssreset-prof-v1"] and the run
+      coordinates (system, family, n, m, seed, daemon, window_steps);
     - zero or more {e window} records with indices strictly increasing
       from 0 and strictly increasing [at_step], each covering
       [window_steps] engine steps (rates, per-rule move deltas, GC word
       deltas);
-    - exactly one {e summary} last: totals, per-phase and per-rule timer
-      attribution, and the full instrument dump.
+    - the summary: totals, per-phase and per-rule timer attribution, and
+      the full instrument dump.
 
     Cross-checks enforced by {!load_string}: the summary's [windows]
     field equals the window-record count; window [steps]/[moves] sums
     never exceed the summary totals; every per-rule window delta sums to
     at most the summary's [moves.R] counter; phase/rule timer sections
     are well-formed with non-negative totals. *)
-
-val schema : string
-(** ["ssreset-prof-v1"]. *)
 
 type window = {
   index : int;
@@ -70,10 +68,7 @@ val load_string : ?path:string -> string -> (t, string) result
     the (1-based) offending line. *)
 
 val load_file : string -> (t, string) result
-
-val check_file : string -> (unit, string) result
-(** {!load_file} with the parse discarded — the validation behind
-    [jsonlint --check-prof]. *)
+(** {!Jsonl.load_file} then {!load_string}. *)
 
 val phase_total_ns : t -> int
 (** Sum of the [phases] section totals — the attributed engine time, to

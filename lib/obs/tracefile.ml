@@ -36,44 +36,21 @@ type t = {
   summary : summary;
 }
 
-exception Bad of string
-
-let badf fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
-
-let int_field ~ctx name json =
-  match Option.bind (Json.member name json) Json.to_int_opt with
-  | Some v -> v
-  | None -> badf "%s: %S is missing or not an int" ctx name
-
-let string_field ~ctx name json =
-  match Option.bind (Json.member name json) Json.to_string_opt with
-  | Some v -> v
-  | None -> badf "%s: %S is missing or not a string" ctx name
-
-let float_field ~ctx name json =
-  match Option.bind (Json.member name json) Json.to_float_opt with
-  | Some v -> v
-  | None -> badf "%s: %S is missing or not a number" ctx name
-
-let list_field ~ctx name json =
-  match Json.member name json with
-  | Some (Json.List l) -> l
-  | Some _ -> badf "%s: %S is not a list" ctx name
-  | None -> badf "%s: missing %S" ctx name
-
 let proc ~ctx ~n name json =
-  let p = int_field ~ctx name json in
-  if p < 0 || p >= n then badf "%s: process %d out of range [0,%d)" ctx p n;
+  let p = Jsonl.int ~ctx name json in
+  if p < 0 || p >= n then
+    Jsonl.fail "%s: process %d out of range [0,%d)" ctx p n;
   p
 
 let parse_manifest ~ctx json =
-  (match Option.bind (Json.member "trace_schema" json) Json.to_string_opt with
+  (match Jsonl.string_opt "trace_schema" json with
   | Some s when s = schema -> ()
-  | Some s -> badf "%s: trace_schema %S, expected %S" ctx s schema
-  | None -> badf "%s: missing trace_schema (not an %s trace?)" ctx schema);
-  let n = int_field ~ctx "n" json in
-  if n <= 0 then badf "%s: n must be positive" ctx;
-  let m = int_field ~ctx "m" json in
+  | Some s -> Jsonl.fail "%s: trace_schema %S, expected %S" ctx s schema
+  | None ->
+      Jsonl.fail "%s: missing trace_schema (not an %s trace?)" ctx schema);
+  let n = Jsonl.int ~ctx "n" json in
+  if n <= 0 then Jsonl.fail "%s: n must be positive" ctx;
+  let m = Jsonl.int ~ctx "m" json in
   let edges =
     List.map
       (function
@@ -81,234 +58,164 @@ let parse_manifest ~ctx json =
             match (Json.to_int_opt a, Json.to_int_opt b) with
             | Some u, Some v ->
                 if u < 0 || u >= n || v < 0 || v >= n then
-                  badf "%s: edge endpoint out of range" ctx;
+                  Jsonl.fail "%s: edge endpoint out of range" ctx;
                 (u, v)
-            | _ -> badf "%s: edge endpoints must be ints" ctx)
-        | _ -> badf "%s: each edge must be a [u,v] pair" ctx)
-      (list_field ~ctx "edges" json)
+            | _ -> Jsonl.fail "%s: edge endpoints must be ints" ctx)
+        | _ -> Jsonl.fail "%s: each edge must be a [u,v] pair" ctx)
+      (Jsonl.list ~ctx "edges" json)
   in
   if List.length edges <> m then
-    badf "%s: %d edges but m = %d" ctx (List.length edges) m;
-  ( string_field ~ctx "system" json,
-    string_field ~ctx "family" json,
-    n,
-    int_field ~ctx "seed" json,
-    string_field ~ctx "daemon" json,
-    edges )
+    Jsonl.fail "%s: %d edges but m = %d" ctx (List.length edges) m;
+  let system = Jsonl.string ~ctx "system" json in
+  let family = Jsonl.string ~ctx "family" json in
+  let seed = Jsonl.int ~ctx "seed" json in
+  let daemon = Jsonl.string ~ctx "daemon" json in
+  ( n,
+    fun init_active steps rounds anomalies summary ->
+      { system; family; n; seed; daemon; edges; init_active; steps; rounds;
+        anomalies; summary } )
 
 let parse_init ~ctx ~n json =
   List.map
     (fun entry ->
       let p = proc ~ctx ~n "p" entry in
-      let st = string_field ~ctx "st" entry in
+      let st = Jsonl.string ~ctx "st" entry in
       if st <> "RB" && st <> "RF" then
-        badf "%s: initial status %S is neither RB nor RF" ctx st;
-      let d = int_field ~ctx "d" entry in
-      if d < 0 then badf "%s: negative d" ctx;
+        Jsonl.fail "%s: initial status %S is neither RB nor RF" ctx st;
+      let d = Jsonl.int ~ctx "d" entry in
+      if d < 0 then Jsonl.fail "%s: negative d" ctx;
       (p, st, d))
-    (list_field ~ctx "active" json)
+    (Jsonl.list ~ctx "active" json)
 
 let parse_wave ~ctx ~n json =
-  match Option.bind (Json.member "w" json) Json.to_string_opt with
-  | None ->
-      if Json.member "w" json <> None then badf "%s: w is not a string" ctx;
-      None
+  match Jsonl.opt Jsonl.string ~ctx "w" json with
+  | None -> None
   | Some "init" -> Some Span.Init
   | Some "rf" -> Some Span.Feedback
   | Some "c" -> Some Span.Complete
   | Some "join" ->
       let parent = proc ~ctx ~n "parent" json in
-      let d = int_field ~ctx "d" json in
-      if d < 1 then badf "%s: join with d = %d < 1" ctx d;
+      let d = Jsonl.int ~ctx "d" json in
+      if d < 1 then Jsonl.fail "%s: join with d = %d < 1" ctx d;
       Some (Span.Join { parent; d })
-  | Some other -> badf "%s: unknown wave tag %S" ctx other
+  | Some other -> Jsonl.fail "%s: unknown wave tag %S" ctx other
 
 let parse_step ~ctx ~n json =
-  let index = int_field ~ctx "step" json in
+  let index = Jsonl.int ~ctx "step" json in
   let movers =
     List.map
       (fun mv ->
         {
           p = proc ~ctx ~n "p" mv;
-          rule = string_field ~ctx "rule" mv;
+          rule = Jsonl.string ~ctx "rule" mv;
           wave = parse_wave ~ctx ~n mv;
         })
-      (list_field ~ctx "movers" json)
+      (Jsonl.list ~ctx "movers" json)
   in
-  if movers = [] then badf "%s: step with no movers" ctx;
+  if movers = [] then Jsonl.fail "%s: step with no movers" ctx;
   { index; movers }
 
 let parse_anomaly ~ctx ~n json =
   List.iter
     (fun w ->
-      ignore (int_field ~ctx:(ctx ^ " window") "step" w);
+      ignore (Jsonl.int ~ctx:(ctx ^ " window") "step" w);
       ignore (proc ~ctx:(ctx ^ " window") ~n "p" w);
-      ignore (string_field ~ctx:(ctx ^ " window") "rule" w))
-    (list_field ~ctx "window" json);
+      ignore (Jsonl.string ~ctx:(ctx ^ " window") "rule" w))
+    (Jsonl.list ~ctx "window" json);
   {
-    monitor = string_field ~ctx "monitor" json;
-    step = int_field ~ctx "step" json;
-    process =
-      (match Json.member "process" json with
-      | None -> None
-      | Some _ -> Some (proc ~ctx ~n "process" json));
-    value = int_field ~ctx "value" json;
-    bound = int_field ~ctx "bound" json;
+    monitor = Jsonl.string ~ctx "monitor" json;
+    step = Jsonl.int ~ctx "step" json;
+    process = Jsonl.opt (proc ~n) ~ctx "process" json;
+    value = Jsonl.int ~ctx "value" json;
+    bound = Jsonl.int ~ctx "bound" json;
   }
 
 let parse_summary ~ctx json =
-  let moves_per_rule =
-    match Json.member "moves_per_rule" json with
-    | Some (Json.Obj fields) ->
-        List.map
-          (fun (rule, v) ->
-            match Json.to_int_opt v with
-            | Some c -> (rule, c)
-            | None -> badf "%s: moves_per_rule.%s is not an int" ctx rule)
-          fields
-    | Some _ -> badf "%s: moves_per_rule is not an object" ctx
-    | None -> []
-  in
   {
-    outcome = string_field ~ctx "outcome" json;
-    rounds = int_field ~ctx "rounds" json;
-    steps = int_field ~ctx "steps" json;
-    moves = int_field ~ctx "moves" json;
-    wall_s = float_field ~ctx "wall_s" json;
-    moves_per_rule;
-    anomaly_count =
-      (match Json.member "anomalies" json with
-      | None -> None
-      | Some v -> (
-          match Json.to_int_opt v with
-          | Some c -> Some c
-          | None -> badf "%s: anomalies is not an int" ctx));
+    outcome = Jsonl.string ~ctx "outcome" json;
+    rounds = Jsonl.int ~ctx "rounds" json;
+    steps = Jsonl.int ~ctx "steps" json;
+    moves = Jsonl.int ~ctx "moves" json;
+    wall_s = Jsonl.float ~ctx "wall_s" json;
+    moves_per_rule =
+      Option.value ~default:[]
+        (Jsonl.opt Jsonl.ints ~ctx "moves_per_rule" json);
+    anomaly_count = Jsonl.opt Jsonl.int ~ctx "anomalies" json;
   }
 
 let load_string ?(path = "<trace>") contents =
-  let manifest = ref None in
   let init_active = ref None in
   let steps_rev = ref [] in
   let rounds_rev = ref [] in
   let anomalies_rev = ref [] in
-  let summary = ref None in
   let last_step = ref min_int and last_round = ref min_int in
-  let records = ref 0 in
-  try
-    String.split_on_char '\n' contents
-    |> List.iteri (fun lineno line ->
-           if String.trim line <> "" then begin
-             let ctx = Printf.sprintf "%s:%d" path (lineno + 1) in
-             let json =
-               match Json.of_string line with
-               | Ok j -> j
-               | Error msg -> badf "%s: %s" ctx msg
-             in
-             if !summary <> None then badf "%s: record after the summary" ctx;
-             incr records;
-             let ty =
-               match
-                 Option.bind (Json.member "type" json) Json.to_string_opt
-               with
-               | Some ty -> ty
-               | None -> badf "%s: record without a type" ctx
-             in
-             if !records = 1 && ty <> "manifest" then
-               badf "%s: first record must be the manifest, got %S" ctx ty;
-             match ty with
-             | "manifest" ->
-                 if !manifest <> None then badf "%s: duplicate manifest" ctx;
-                 manifest := Some (parse_manifest ~ctx json)
-             | "init" ->
-                 if !init_active <> None then
-                   badf "%s: duplicate init record" ctx;
-                 if !steps_rev <> [] || !rounds_rev <> [] then
-                   badf "%s: init record after step/round records" ctx;
-                 let _, _, n, _, _, _ = Option.get !manifest in
-                 init_active := Some (parse_init ~ctx ~n json)
-             | "step" ->
-                 let _, _, n, _, _, _ = Option.get !manifest in
-                 let s = parse_step ~ctx ~n json in
-                 if s.index <= !last_step then
-                   badf "%s: step %d not strictly increasing" ctx s.index;
-                 last_step := s.index;
-                 steps_rev := s :: !steps_rev
-             | "round" ->
-                 let r = int_field ~ctx "round" json in
-                 if r <= !last_round then
-                   badf "%s: round %d not strictly increasing" ctx r;
-                 last_round := r;
-                 rounds_rev :=
-                   {
-                     round = r;
-                     steps = int_field ~ctx "steps" json;
-                     moves = int_field ~ctx "moves" json;
-                   }
-                   :: !rounds_rev
-             | "anomaly" ->
-                 let _, _, n, _, _, _ = Option.get !manifest in
-                 anomalies_rev := parse_anomaly ~ctx ~n json :: !anomalies_rev
-             | "summary" -> summary := Some (parse_summary ~ctx json)
-             | other -> badf "%s: unknown record type %S" ctx other
-           end);
-    let system, family, n, seed, daemon, edges =
-      match !manifest with
-      | Some m -> m
-      | None -> badf "%s: empty trace (no manifest)" path
-    in
-    let summary =
-      match !summary with
-      | Some s -> s
-      | None -> badf "%s: no summary record" path
-    in
+  let init (n, _) ~ctx json =
+    if !init_active <> None then Jsonl.fail "%s: duplicate init record" ctx;
+    if !steps_rev <> [] || !rounds_rev <> [] then
+      Jsonl.fail "%s: init record after step/round records" ctx;
+    init_active := Some (parse_init ~ctx ~n json)
+  in
+  let step (n, _) ~ctx json =
+    let s = parse_step ~ctx ~n json in
+    if s.index <= !last_step then
+      Jsonl.fail "%s: step %d not strictly increasing" ctx s.index;
+    last_step := s.index;
+    steps_rev := s :: !steps_rev
+  in
+  let round _ ~ctx json =
+    let r = Jsonl.int ~ctx "round" json in
+    if r <= !last_round then
+      Jsonl.fail "%s: round %d not strictly increasing" ctx r;
+    last_round := r;
+    rounds_rev :=
+      {
+        round = r;
+        steps = Jsonl.int ~ctx "steps" json;
+        moves = Jsonl.int ~ctx "moves" json;
+      }
+      :: !rounds_rev
+  in
+  let anomaly (n, _) ~ctx json =
+    anomalies_rev := parse_anomaly ~ctx ~n json :: !anomalies_rev
+  in
+  let finish (_, make) (summary : summary) =
     let steps = List.rev !steps_rev in
     if steps <> [] then begin
       let step_records = List.length steps in
       if step_records <> summary.steps then
-        badf "%s: %d step records but summary says steps = %d" path
+        Jsonl.fail "%s: %d step records but summary says steps = %d" path
           step_records summary.steps;
       let movers =
         List.fold_left (fun acc s -> acc + List.length s.movers) 0 steps
       in
       if movers <> summary.moves then
-        badf "%s: %d recorded movers but summary says moves = %d" path movers
-          summary.moves
+        Jsonl.fail "%s: %d recorded movers but summary says moves = %d" path
+          movers summary.moves
     end;
     let anomalies = List.rev !anomalies_rev in
     (match summary.anomaly_count with
     | Some c when c <> List.length anomalies ->
-        badf "%s: summary says %d anomalies but %d anomaly records" path c
-          (List.length anomalies)
+        Jsonl.fail "%s: summary says %d anomalies but %d anomaly records" path
+          c (List.length anomalies)
     | _ -> ());
-    Ok
-      {
-        system;
-        family;
-        n;
-        seed;
-        daemon;
-        edges;
-        init_active = Option.value ~default:[] !init_active;
-        steps;
-        rounds = List.rev !rounds_rev;
-        anomalies;
-        summary;
-      }
-  with Bad msg -> Error msg
+    make
+      (Option.value ~default:[] !init_active)
+      steps (List.rev !rounds_rev) anomalies summary
+  in
+  Jsonl.parse ~path ~manifest:parse_manifest
+    ~records:
+      [ ("init", init); ("step", step); ("round", round); ("anomaly", anomaly) ]
+    ~summary:parse_summary ~finish contents
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+let load_file path = Result.bind (Jsonl.load_file path) (load_string ~path)
 
-let load_file path =
-  match read_file path with
-  | exception Sys_error msg -> Error msg
-  | contents -> load_string ~path contents
-
-let check_file path = Result.map (fun (_ : t) -> ()) (load_file path)
+let manifest_extra graph =
+  [ ("trace_schema", Json.String schema);
+    ( "edges",
+      Json.List
+        (List.map
+           (fun (u, v) -> Json.List [ Json.Int u; Json.Int v ])
+           (Ssreset_graph.Graph.edges graph)) ) ]
 
 let graph_of t = Ssreset_graph.Graph.make ~n:t.n ~edges:t.edges
 
@@ -316,3 +223,16 @@ let mover_pairs t =
   List.map
     (fun s -> (s.index, List.map (fun m -> (m.p, m.rule)) s.movers))
     t.steps
+
+let span_of t =
+  let span = Span.create ~n:t.n in
+  Span.seed_active ~graph:(graph_of t) span
+    (List.map (fun (p, _, d) -> (p, d)) t.init_active);
+  List.iter
+    (fun s ->
+      Span.feed_step span ~step:s.index
+        (List.filter_map
+           (fun m -> Option.map (fun ev -> (m.p, ev)) m.wave)
+           s.movers))
+    t.steps;
+  span

@@ -1,25 +1,23 @@
 (** Reading and validating [ssreset-trace-v1] JSONL run traces.
 
-    The schema extends the PR-1 record stream ({!Sink}) with step-level
-    records so executions can be replayed offline:
+    The stream extends the {!Sink} record stream with step-level records so
+    executions can be replayed offline.  It uses the shared {!Jsonl}
+    envelope (manifest first, one summary last); the manifest carries
+    [trace_schema = "ssreset-trace-v1"] and the graph's [edges] (so
+    analyses need no side channel).  Between them:
 
-    - one {e manifest} first, carrying [trace_schema = "ssreset-trace-v1"]
-      and the graph's [edges] (so analyses need no side channel);
-    - at most one {e init} record next: the processes already mid-reset in
-      the initial configuration ([(p, st, d)]);
+    - at most one {e init} record, before any step or round record: the
+      processes already mid-reset in the initial configuration
+      ([(p, st, d)]);
     - {e step} records with strictly increasing step indices, each mover
       optionally tagged with its classified wave event;
     - {e round} records with strictly increasing round indices;
-    - {e anomaly} records emitted by online {!Monitor}s;
-    - exactly one {e summary} last.
+    - {e anomaly} records emitted by online {!Monitor}s.
 
     Cross-checks: the manifest's [m] equals the edge count; when any step
     record is present, the step-record count equals the summary's [steps]
     and the movers total equals its [moves]; a summary [anomalies] field
     equals the number of anomaly records. *)
-
-val schema : string
-(** ["ssreset-trace-v1"]. *)
 
 type mover = { p : int; rule : string; wave : Span.event option }
 type step = { index : int; movers : mover list }
@@ -62,10 +60,11 @@ val load_string : ?path:string -> string -> (t, string) result
     (1-based) offending line. *)
 
 val load_file : string -> (t, string) result
+(** {!Jsonl.load_file} then {!load_string}. *)
 
-val check_file : string -> (unit, string) result
-(** {!load_file} with the parse discarded — the validation used by
-    [jsonlint --check-trace]. *)
+val manifest_extra : Ssreset_graph.Graph.t -> (string * Json.t) list
+(** The manifest fields that make a {!Sink} stream a trace: the schema key
+    and the graph's edges.  Pass them as [Sink.manifest ~extra]. *)
 
 val graph_of : t -> Ssreset_graph.Graph.t
 (** Rebuild the run's graph from the manifest edges. *)
@@ -73,3 +72,7 @@ val graph_of : t -> Ssreset_graph.Graph.t
 val mover_pairs : t -> (int * (int * string) list) list
 (** The per-step [(step, [(process, rule); ...])] lists, ready for
     {!Causality.build}. *)
+
+val span_of : t -> Span.t
+(** Offline wave reconstruction: replay the recorded wave tags through the
+    span builder the online tracker feeds. *)

@@ -20,6 +20,12 @@ let check_false msg b = check_bool msg false b
 
 let test name f = Alcotest.test_case name `Quick f
 
+(* The nonblank lines of a file: a recorded JSONL stream or a pin file. *)
+let read_lines path =
+  match Ssreset_obs.Jsonl.load_file path with
+  | Ok contents -> List.map snd (Ssreset_obs.Jsonl.lines contents)
+  | Error msg -> Alcotest.fail msg
+
 (* A small deterministic zoo of connected graphs exercising extreme shapes. *)
 let graph_zoo () =
   [ ("ring9", Gen.ring 9);

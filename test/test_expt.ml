@@ -192,11 +192,6 @@ let rec strip_clock = function
   | Json.List l -> Json.List (List.map strip_clock l)
   | j -> j
 
-let nonempty_lines path =
-  In_channel.with_open_text path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
-
 let pin_lines () =
   let graph = Workload.sparse_random.Workload.build ~seed:2 ~n:8 in
   List.concat_map
@@ -212,7 +207,7 @@ let pin_lines () =
       let sink = Sink.create path in
       let sunk = run ~sink () in
       Sink.close sink;
-      let records = List.map Json.of_string_exn (nonempty_lines path) in
+      let records = List.map Json.of_string_exn (read_lines path) in
       Sys.remove path;
       let type_of j = Option.bind (Json.member "type" j) Json.to_string_opt in
       let counts =
@@ -232,7 +227,7 @@ let pin_lines () =
 
 let pin_tests =
   [ test "every system reproduces its pinned run" (fun () ->
-        let expected = nonempty_lines "runner_pins.txt" in
+        let expected = read_lines "runner_pins.txt" in
         let actual = pin_lines () in
         check_int "line count" (List.length expected) (List.length actual);
         List.iter2 (check Alcotest.string "pinned line") expected actual) ]

@@ -178,17 +178,6 @@ let obs_tests =
 
 (* --------------------------------- Sink --------------------------------- *)
 
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
-
 let sink_tests =
   [ test "manifest and summary round-trip through the parser" (fun () ->
         let m =

@@ -5,6 +5,7 @@ module Span = Ssreset_obs.Span
 module Causality = Ssreset_obs.Causality
 module Monitor = Ssreset_obs.Monitor
 module Tracefile = Ssreset_obs.Tracefile
+module Proffile = Ssreset_obs.Proffile
 module Runner = Ssreset_expt.Runner
 
 (* Toy algorithm reused from test_sim: monotone max propagation. *)
@@ -281,14 +282,7 @@ let monitor_tests =
         let tmp = Filename.temp_file "ssreset-test-anomaly" ".jsonl" in
         let sink = Sink.create tmp in
         Sink.write sink
-          (Sink.manifest
-             ~extra:
-               [ ("trace_schema", Json.String Tracefile.schema);
-                 ( "edges",
-                   Json.List
-                     (List.map
-                        (fun (u, v) -> Json.List [ Json.Int u; Json.Int v ])
-                        (Graph.edges g)) ) ]
+          (Sink.manifest ~extra:(Tracefile.manifest_extra g)
              ~system:"toy-broken" ~family:"path" ~n:3 ~m:(Graph.m g) ~seed:0
              ~daemon:"central-first" ());
         let m = Monitor.create ~sink () in
@@ -302,9 +296,6 @@ let monitor_tests =
              ~extra:[ ("anomalies", Json.Int (Monitor.anomaly_count m)) ]
              ~outcome:"step-limit" ~rounds:2 ~steps:2 ~moves:2 ~wall_s:0.0 ());
         Sink.close sink;
-        (match Tracefile.check_file tmp with
-        | Ok () -> ()
-        | Error msg -> Alcotest.failf "trace rejected: %s" msg);
         (match Tracefile.load_file tmp with
         | Ok t -> (
             match t.Tracefile.anomalies with
@@ -317,7 +308,7 @@ let monitor_tests =
         | Error msg -> Alcotest.failf "load failed: %s" msg);
         Sys.remove tmp) ]
 
-(* ------------------------------ Tracefile ------------------------------- *)
+(* ------------------------- Tracefile and Proffile ----------------------- *)
 
 let clean_trace =
   String.concat "\n"
@@ -327,8 +318,15 @@ let clean_trace =
       {|{"type":"round","round":1,"steps":1,"moves":2}|};
       {|{"type":"summary","outcome":"step-limit","rounds":1,"steps":1,"moves":2,"wall_s":0.001,"moves_per_rule":{"SDR-R":1,"SDR-RB":1}}|} ]
 
+let clean_prof =
+  String.concat "\n"
+    [ {|{"type":"manifest","schema":"ssreset-prof-v1","system":"unison","family":"path","n":3,"m":2,"seed":1,"daemon":"central-first","window_steps":2}|};
+      {|{"type":"window","index":0,"at_step":2,"steps":2,"moves":2,"wall_s":0.001,"steps_per_s":2000.0,"moves_per_s":2000.0,"moves_per_rule":{"SDR-R":2},"gc_minor_words":0,"gc_major_words":0}|};
+      {|{"type":"window","index":1,"at_step":4,"steps":2,"moves":2,"wall_s":0.001,"steps_per_s":2000.0,"moves_per_s":2000.0,"moves_per_rule":{"SDR-RB":2},"gc_minor_words":0,"gc_major_words":0}|};
+      {|{"type":"summary","steps":4,"moves":4,"wall_s":0.002,"windows":2,"phases":{"scan":{"ns":1000,"count":4,"mean_ns":250.0,"p50_ns":250.0,"p90_ns":300.0,"max_ns":400}},"rules":{},"metrics":{"counters":{"moves.SDR-R":2,"moves.SDR-RB":2},"gauges":{}}}|} ]
+
 (* Replace the first occurrence of [needle] in [hay] — used to corrupt the
-   clean trace string in targeted ways. *)
+   clean streams in targeted ways. *)
 let replace ~needle ~by hay =
   let nl = String.length needle and hl = String.length hay in
   let rec find i =
@@ -341,40 +339,89 @@ let replace ~needle ~by hay =
   | Some i ->
       String.sub hay 0 i ^ by ^ String.sub hay (i + nl) (hl - i - nl)
 
-let rejects what contents =
-  test ("rejects " ^ what) (fun () ->
-      match Tracefile.load_string contents with
-      | Ok _ -> Alcotest.failf "accepted a trace with %s" what
-      | Error _ -> ())
+let on_lines f contents =
+  String.concat "\n" (f (String.split_on_char '\n' contents))
+
+(* Envelope defects, shared by both readers: (what, corruption of the clean
+   stream, a fragment the error message must carry). *)
+let envelope_defects =
+  let after_manifest line ls = List.hd ls :: line :: List.tl ls in
+  [ ("a missing manifest", on_lines List.tl, "must be the manifest");
+    ("a wrong schema", replace ~needle:"-v1" ~by:"-v0", "expected");
+    ( "a duplicate manifest",
+      on_lines (fun ls -> List.hd ls :: ls),
+      "duplicate manifest" );
+    ( "a record without a type",
+      on_lines (after_manifest {|{"step":0}|}),
+      "without a type" );
+    ( "an unknown record type",
+      on_lines (after_manifest {|{"type":"bogus"}|}),
+      "unknown record type" );
+    ( "records after the summary",
+      on_lines (fun ls -> ls @ [ List.nth ls 1 ]),
+      "after the summary" );
+    ("empty input", (fun _ -> ""), "no manifest");
+    (* What a killed run leaves behind. *)
+    ( "no summary",
+      on_lines (fun ls -> List.rev (List.tl (List.rev ls))),
+      "no summary" ) ]
+
+let reader_tests ~load ~clean specific =
+  let rejects (what, corrupt, because) =
+    test ("rejects " ^ what) (fun () ->
+        match load (corrupt clean) with
+        | Ok _ -> Alcotest.failf "accepted a stream with %s" what
+        | Error msg ->
+            check_true
+              (Printf.sprintf "%S mentions %S" msg because)
+              (Astring_like.contains msg because))
+  in
+  List.map rejects (envelope_defects @ specific)
 
 let tracefile_tests =
-  [ test "accepts a well-formed trace" (fun () ->
-        match Tracefile.load_string clean_trace with
-        | Ok t ->
-            check_int "n" 3 t.Tracefile.n;
-            check_int "two edges" 2 (List.length t.Tracefile.edges);
-            check_int "one step record" 1 (List.length t.Tracefile.steps);
-            check_int "seeded actives" 1 (List.length t.Tracefile.init_active)
-        | Error msg -> Alcotest.failf "clean trace rejected: %s" msg);
-    rejects "a missing manifest"
-      {|{"type":"summary","outcome":"x","rounds":0,"steps":0,"moves":0,"wall_s":0.0}|};
-    rejects "a join without provenance"
-      (replace ~needle:{|"w":"join","parent":1,"d":3|} ~by:{|"w":"join"|}
-         clean_trace);
-    rejects "a mover out of range"
-      (replace ~needle:{|{"p":2,"rule":"SDR-RB"|}
-         ~by:{|{"p":7,"rule":"SDR-RB"|} clean_trace);
-    rejects "summary counters contradicting the step records"
-      (replace ~needle:{|"moves":2,"wall_s"|} ~by:{|"moves":9,"wall_s"|}
-         clean_trace);
-    rejects "records after the summary" (clean_trace ^ "\n" ^ clean_trace);
-    rejects "non-increasing step indices"
-      (clean_trace |> String.split_on_char '\n'
-      |> List.map (fun l ->
-             if String.length l > 15 && String.sub l 9 4 = "step" then
-               l ^ "\n" ^ l
-             else l)
-      |> String.concat "\n") ]
+  test "accepts a well-formed trace" (fun () ->
+      match Tracefile.load_string clean_trace with
+      | Ok t ->
+          check_int "n" 3 t.Tracefile.n;
+          check_int "two edges" 2 (List.length t.Tracefile.edges);
+          check_int "one step record" 1 (List.length t.Tracefile.steps);
+          check_int "seeded actives" 1 (List.length t.Tracefile.init_active)
+      | Error msg -> Alcotest.failf "clean trace rejected: %s" msg)
+  :: reader_tests ~load:Tracefile.load_string ~clean:clean_trace
+       [ ( "a join without provenance",
+           replace ~needle:{|"w":"join","parent":1,"d":3|} ~by:{|"w":"join"|},
+           {|"parent" is missing|} );
+         ( "a mover out of range",
+           replace ~needle:{|{"p":2,"rule":"SDR-RB"|}
+             ~by:{|{"p":7,"rule":"SDR-RB"|},
+           "out of range" );
+         ( "summary counters contradicting the step records",
+           replace ~needle:{|"moves":2,"wall_s"|} ~by:{|"moves":9,"wall_s"|},
+           "summary says moves" );
+         ( "non-increasing step indices",
+           on_lines
+             (List.concat_map (fun l ->
+                  if Astring_like.contains l {|"type":"step"|} then [ l; l ]
+                  else [ l ])),
+           "not strictly increasing" ) ]
+
+let proffile_tests =
+  test "accepts a well-formed profile" (fun () ->
+      match Proffile.load_string clean_prof with
+      | Ok p ->
+          check_int "two windows" 2 (List.length p.Proffile.windows);
+          check_int "steps" 4 p.Proffile.summary.Proffile.steps
+      | Error msg -> Alcotest.failf "clean profile rejected: %s" msg)
+  :: reader_tests ~load:Proffile.load_string ~clean:clean_prof
+       [ ( "a window index gap",
+           replace ~needle:{|"index":1|} ~by:{|"index":2|},
+           "window index 2, expected 1" );
+         ( "a non-increasing at_step",
+           replace ~needle:{|"at_step":4|} ~by:{|"at_step":2|},
+           "at_step 2 does not increase" );
+         ( "a per-rule delta above its moves counter",
+           replace ~needle:{|{"SDR-RB":2}|} ~by:{|{"SDR-RB":3}|},
+           "windows attribute 3 moves to rule SDR-RB" ) ]
 
 (* --------------------------- Full pipeline ------------------------------ *)
 
@@ -386,16 +433,8 @@ let record_unison ~seed ~n =
   let tmp = Filename.temp_file "ssreset-test-trace" ".jsonl" in
   let sink = Sink.create tmp in
   Sink.write sink
-    (Sink.manifest
-       ~extra:
-         [ ("trace_schema", Json.String Tracefile.schema);
-           ( "edges",
-             Json.List
-               (List.map
-                  (fun (u, v) -> Json.List [ Json.Int u; Json.Int v ])
-                  (Graph.edges g)) ) ]
-       ~system:"unison" ~family:"ring" ~n ~m:(Graph.m g) ~seed
-       ~daemon:"synchronous" ());
+    (Sink.manifest ~extra:(Tracefile.manifest_extra g) ~system:"unison"
+       ~family:"ring" ~n ~m:(Graph.m g) ~seed ~daemon:"synchronous" ());
   let obs =
     Runner.run ~sink ~trace_steps:true Runner.unison ~graph:g
       ~daemon:Daemon.synchronous ~seed
@@ -408,21 +447,6 @@ let record_unison ~seed ~n =
   in
   Sys.remove tmp;
   (t, obs)
-
-let span_of_trace (t : Tracefile.t) =
-  let graph = Tracefile.graph_of t in
-  let span = Span.create ~n:t.Tracefile.n in
-  Span.seed_active ~graph span
-    (List.map (fun (p, _, d) -> (p, d)) t.Tracefile.init_active);
-  List.iter
-    (fun (s : Tracefile.step) ->
-      Span.feed_step span ~step:s.Tracefile.index
-        (List.filter_map
-           (fun (m : Tracefile.mover) ->
-             Option.map (fun ev -> (m.Tracefile.p, ev)) m.Tracefile.wave)
-           s.Tracefile.movers))
-    t.Tracefile.steps;
-  span
 
 let pipeline_tests =
   [ test "20 seeds: critical path tracks the round count" (fun () ->
@@ -452,7 +476,7 @@ let pipeline_tests =
     test "every recorded wave reconstructs and balances" (fun () ->
         for seed = 0 to 4 do
           let t, obs = record_unison ~seed ~n:12 in
-          let span = span_of_trace t in
+          let span = Tracefile.span_of t in
           (match Span.check ~require_complete:true span with
           | [] -> ()
           | errs ->
@@ -482,4 +506,5 @@ let () =
       ("figure1", figure1_tests);
       ("monitor", monitor_tests);
       ("tracefile", tracefile_tests);
+      ("proffile", proffile_tests);
       ("pipeline", pipeline_tests) ]

@@ -26,6 +26,7 @@
    build on. *)
 
 module Json = Ssreset_obs.Json
+module Jsonl = Ssreset_obs.Jsonl
 
 let tolerance =
   match Sys.getenv_opt "BENCH_GATE_TOLERANCE" with
@@ -41,29 +42,15 @@ let tolerance =
           exit 2)
 
 let load path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let body = really_input_string ic len in
-  close_in ic;
-  match Json.of_string body with
+  let parsed =
+    Result.bind (Jsonl.load_file path) (fun body ->
+        Result.map_error (Printf.sprintf "%s: %s" path) (Json.of_string body))
+  in
+  match parsed with
   | Ok json -> json
   | Error msg ->
-      Printf.eprintf "bench_gate: %s: %s\n" path msg;
+      Printf.eprintf "bench_gate: %s\n" msg;
       exit 2
-
-let str_field name json =
-  match Option.bind (Json.member name json) Json.to_string_opt with
-  | Some s -> s
-  | None -> "?"
-
-let float_field name json =
-  Option.bind (Json.member name json) Json.to_float_opt
-
-let bool_field name json =
-  match Json.member name json with Some (Json.Bool b) -> Some b | _ -> None
-
-let list_field name json =
-  match Json.member name json with Some (Json.List l) -> l | _ -> []
 
 let () =
   let baseline_path, fresh_path =
@@ -85,39 +72,44 @@ let () =
   let info fmt = Printf.ksprintf (fun msg -> Printf.printf "ok    %s\n" msg) fmt in
 
   (* 1. Correctness of the fresh run. *)
-  (match Option.bind (Json.member "failures" fresh) Json.to_int_opt with
+  (match Jsonl.int_opt "failures" fresh with
   | Some 0 | None -> ()
   | Some k -> fail "fresh run reports %d bound violation(s)" k);
   List.iter
     (fun record ->
-      match bool_field "ok" record with
-      | Some false -> fail "experiment %s: ok = false" (str_field "id" record)
+      match Jsonl.bool_opt "ok" record with
+      | Some false ->
+          fail "experiment %s: ok = false"
+            (Option.value ~default:"?" (Jsonl.string_opt "id" record))
       | _ -> ())
-    (list_field "experiments" fresh);
+    (Jsonl.items "experiments" fresh);
   List.iter
     (fun record ->
-      match bool_field "ok" record with
-      | Some false -> fail "check %s: ok = false" (str_field "name" record)
+      match Jsonl.bool_opt "ok" record with
+      | Some false ->
+          fail "check %s: ok = false"
+            (Option.value ~default:"?" (Jsonl.string_opt "name" record))
       | _ -> ())
-    (list_field "check" fresh);
+    (Jsonl.items "check" fresh);
 
   (* 2. Per-experiment wall-clock vs the baseline. *)
   let fresh_by_id =
     List.filter_map
       (fun r ->
-        match Option.bind (Json.member "id" r) Json.to_string_opt with
+        match Jsonl.string_opt "id" r with
         | Some id -> Some (id, r)
         | None -> None)
-      (list_field "experiments" fresh)
+      (Jsonl.items "experiments" fresh)
   in
   List.iter
     (fun base_record ->
-      let id = str_field "id" base_record in
+      let id = Option.value ~default:"?" (Jsonl.string_opt "id" base_record) in
       match List.assoc_opt id fresh_by_id with
       | None -> fail "experiment %s present in baseline but not in fresh run" id
       | Some fresh_record -> (
           match
-            (float_field "wall_s" base_record, float_field "wall_s" fresh_record)
+            ( Jsonl.float_opt "wall_s" base_record,
+              Jsonl.float_opt "wall_s" fresh_record )
           with
           | Some base_s, Some fresh_s when base_s > 0. ->
               let ratio = fresh_s /. base_s in
@@ -132,7 +124,7 @@ let () =
                   fresh_s base_s
                   ((ratio -. 1.) *. 100.)
           | _ -> info "experiment %s: no comparable wall_s, skipped" id))
-    (list_field "experiments" baseline);
+    (Jsonl.items "experiments" baseline);
 
   (* 3. trace-v1 observability overhead: with monitors disabled (no sink)
      the engine must run at full speed — a regression here means telemetry
@@ -140,24 +132,24 @@ let () =
      so the gate never tightens below 5% even when the wall-clock tolerance
      is stricter. *)
   let trace_tolerance = Float.max 0.05 tolerance in
-  let fresh_trace = list_field "trace_v1" fresh in
-  if fresh_trace <> [] && list_field "trace_v1" baseline = [] then
+  let fresh_trace = Jsonl.items "trace_v1" fresh in
+  if fresh_trace <> [] && Jsonl.items "trace_v1" baseline = [] then
     info "new-section trace_v1: no baseline section, learned at next refresh";
   List.iter
     (fun base_record ->
-      match Option.bind (Json.member "n" base_record) Json.to_int_opt with
+      match Jsonl.int_opt "n" base_record with
       | None -> ()
       | Some n -> (
           let same r =
-            Option.bind (Json.member "n" r) Json.to_int_opt = Some n
+            Jsonl.int_opt "n" r = Some n
           in
           match List.find_opt same fresh_trace with
           | None ->
               fail "trace_v1 n=%d present in baseline but not in fresh run" n
           | Some fresh_record -> (
               match
-                ( float_field "monitors_off_steps_per_s" base_record,
-                  float_field "monitors_off_steps_per_s" fresh_record )
+                ( Jsonl.float_opt "monitors_off_steps_per_s" base_record,
+                  Jsonl.float_opt "monitors_off_steps_per_s" fresh_record )
               with
               | Some base_r, Some fresh_r when base_r > 0. ->
                   if fresh_r < base_r *. (1. -. trace_tolerance) then
@@ -174,30 +166,30 @@ let () =
                       n fresh_r base_r
                       (((fresh_r /. base_r) -. 1.) *. 100.)
               | _ -> info "trace_v1 n=%d: no comparable throughput, skipped" n)))
-    (list_field "trace_v1" baseline);
+    (Jsonl.items "trace_v1" baseline);
 
   (* 4. Engine profiling overhead: prof-off must run at full speed (the
      engine's pay-as-you-go contract — an attached profiler is opt-in),
      and the prof-on overhead itself stays capped.  Same noise floor as
      the trace gate: never tighter than 5%. *)
   let prof_tolerance = Float.max 0.05 tolerance in
-  let fresh_prof = list_field "prof" fresh in
-  if fresh_prof <> [] && list_field "prof" baseline = [] then
+  let fresh_prof = Jsonl.items "prof" fresh in
+  if fresh_prof <> [] && Jsonl.items "prof" baseline = [] then
     info "new-section prof: no baseline section, learned at next refresh";
   List.iter
     (fun base_record ->
-      match Option.bind (Json.member "n" base_record) Json.to_int_opt with
+      match Jsonl.int_opt "n" base_record with
       | None -> ()
       | Some n -> (
           let same r =
-            Option.bind (Json.member "n" r) Json.to_int_opt = Some n
+            Jsonl.int_opt "n" r = Some n
           in
           match List.find_opt same fresh_prof with
           | None -> fail "prof n=%d present in baseline but not in fresh run" n
           | Some fresh_record ->
               (match
-                 ( float_field "prof_off_steps_per_s" base_record,
-                   float_field "prof_off_steps_per_s" fresh_record )
+                 ( Jsonl.float_opt "prof_off_steps_per_s" base_record,
+                   Jsonl.float_opt "prof_off_steps_per_s" fresh_record )
                with
               | Some base_r, Some fresh_r when base_r > 0. ->
                   if fresh_r < base_r *. (1. -. prof_tolerance) then
@@ -214,14 +206,14 @@ let () =
                       n fresh_r base_r
                       (((fresh_r /. base_r) -. 1.) *. 100.)
               | _ -> info "prof n=%d: no comparable throughput, skipped" n);
-              (match float_field "prof_overhead_pct" fresh_record with
+              (match Jsonl.float_opt "prof_overhead_pct" fresh_record with
               | Some pct when pct > prof_tolerance *. 100. ->
                   fail
                     "prof n=%d: prof-on overhead %.1f%% exceeds %.0f%% cap"
                     n pct (prof_tolerance *. 100.)
               | Some pct -> info "prof n=%d: prof-on overhead %.1f%%" n pct
               | None -> ())))
-    (list_field "prof" baseline);
+    (Jsonl.items "prof" baseline);
 
   (* 5. check-v3 SMT section: the fresh differential must agree (ok =
      true — correctness, never negotiable), and both throughputs hold to
@@ -232,7 +224,7 @@ let () =
   | Some fresh_smt ->
       (match Json.member "differential" fresh_smt with
       | Some (Json.Obj _ as d) -> (
-          (match bool_field "ok" d with
+          (match Jsonl.bool_opt "ok" d with
           | Some false -> fail "smt differential: IR/rules mismatch"
           | _ -> ());
           match Json.member "smt" baseline with
@@ -240,7 +232,7 @@ let () =
           | Some base_smt ->
               let rate section field ctx =
                 let get j =
-                  Option.bind (Json.member section j) (float_field field)
+                  Option.bind (Json.member section j) (Jsonl.float_opt field)
                 in
                 match (get base_smt, get fresh_smt) with
                 | Some base_r, Some fresh_r ->
@@ -261,19 +253,24 @@ let () =
               rate "ranking" "obligations_per_s" "ranking";
               (* v4 input-layer differentials: correctness always, rate
                  only when the baseline knows the algo *)
-              let base_inputs = list_field "differential_inputs" base_smt in
+              let base_inputs = Jsonl.items "differential_inputs" base_smt in
               List.iter
                 (fun fr ->
-                  let algo = str_field "algo" fr in
-                  (match bool_field "ok" fr with
+                  let algo =
+                    Option.value ~default:"?" (Jsonl.string_opt "algo" fr)
+                  in
+                  (match Jsonl.bool_opt "ok" fr with
                   | Some false ->
                       fail "smt differential %s: IR/rules mismatch" algo
                   | _ -> ());
-                  let same b = str_field "algo" b = algo in
+                  let same b =
+                    Option.value ~default:"?" (Jsonl.string_opt "algo" b)
+                    = algo
+                  in
                   match
                     ( Option.bind (List.find_opt same base_inputs)
-                        (float_field "views_per_s"),
-                      float_field "views_per_s" fr )
+                        (Jsonl.float_opt "views_per_s"),
+                      Jsonl.float_opt "views_per_s" fr )
                   with
                   | Some base_r, Some fresh_r ->
                       if fresh_r < base_r *. (1. -. smt_tolerance) then
@@ -292,19 +289,19 @@ let () =
                         "smt differential %s: no baseline rate, learned at \
                          next refresh"
                         algo)
-                (list_field "differential_inputs" fresh_smt))
+                (Jsonl.items "differential_inputs" fresh_smt))
       | _ -> ()));
 
   (* 6. Engine scheduler throughput — informational. *)
   List.iter
     (fun r ->
       match
-        ( Option.bind (Json.member "n" r) Json.to_int_opt,
-          float_field "speedup" r )
+        ( Jsonl.int_opt "n" r,
+          Jsonl.float_opt "speedup" r )
       with
       | Some n, Some s -> info "engine n=%d: incremental speedup %.1fx" n s
       | _ -> ())
-    (list_field "engine" fresh);
+    (Jsonl.items "engine" fresh);
 
   (* 7. engine_flat: the IR-compiled flat data path.  Digest agreement
      across domain counts is correctness (never negotiable).  Throughput
@@ -319,9 +316,9 @@ let () =
   | None -> ()
   | Some fresh_flat -> (
       let digest_of r =
-        Option.bind (Json.member "digest" r) Json.to_string_opt
+        Jsonl.string_opt "digest" r
       in
-      (match List.filter_map digest_of (list_field "scale" fresh_flat) with
+      (match List.filter_map digest_of (Jsonl.items "scale" fresh_flat) with
       | d :: rest when List.exists (fun d' -> not (String.equal d d')) rest ->
           fail "engine_flat: scale digests diverge across domain counts"
       | _ :: _ -> info "engine_flat: scale digests agree across domain counts"
@@ -329,12 +326,12 @@ let () =
       List.iter
         (fun r ->
           match
-            ( Option.bind (Json.member "n" r) Json.to_int_opt,
-              float_field "speedup" r )
+            ( Jsonl.int_opt "n" r,
+              Jsonl.float_opt "speedup" r )
           with
           | Some n, Some s -> info "engine_flat n=%d: flat speedup %.1fx" n s
           | _ -> ())
-        (list_field "head_to_head" fresh_flat);
+        (Jsonl.items "head_to_head" fresh_flat);
       match Json.member "engine_flat" baseline with
       | None ->
           info
@@ -347,10 +344,10 @@ let () =
                 (fun r ->
                   List.for_all
                     (fun k ->
-                      Option.bind (Json.member k r) Json.to_int_opt
-                      = Option.bind (Json.member k r0) Json.to_int_opt)
+                      Jsonl.int_opt k r
+                      = Jsonl.int_opt k r0)
                     key)
-                (list_field section j)
+                (Jsonl.items section j)
             in
             List.iter
               (fun base_r ->
@@ -358,7 +355,8 @@ let () =
                 | None -> ()
                 | Some fresh_r -> (
                     match
-                      (float_field field base_r, float_field field fresh_r)
+                      ( Jsonl.float_opt field base_r,
+                        Jsonl.float_opt field fresh_r )
                     with
                     | Some b, Some f when b > 0. ->
                         if f < b *. (1. -. flat_tolerance) then
@@ -372,7 +370,7 @@ let () =
                           info "engine_flat %s: %.0f %s vs baseline %.0f" ctx
                             f field b
                     | _ -> ()))
-              (list_field section base_flat)
+              (Jsonl.items section base_flat)
           in
           gate_rate ~section:"head_to_head" ~key:[ "n" ]
             ~field:"flat_steps_per_s" "head-to-head";
@@ -389,22 +387,22 @@ let () =
      would be absent, and the bench failed, had it diverged). *)
   let obs_tolerance = Float.max 0.05 tolerance in
   let obs_overhead_cap = Float.max 0.10 tolerance *. 100. in
-  let fresh_obs = list_field "flat_obs" fresh in
-  if fresh_obs <> [] && list_field "flat_obs" baseline = [] then
+  let fresh_obs = Jsonl.items "flat_obs" fresh in
+  if fresh_obs <> [] && Jsonl.items "flat_obs" baseline = [] then
     info "new-section flat_obs: no baseline section, learned at next refresh";
   List.iter
     (fun fresh_record ->
-      match Option.bind (Json.member "n" fresh_record) Json.to_int_opt with
+      match Jsonl.int_opt "n" fresh_record with
       | None -> ()
       | Some n -> (
           (let same r =
-             Option.bind (Json.member "n" r) Json.to_int_opt = Some n
+             Jsonl.int_opt "n" r = Some n
            in
            match
              ( Option.bind
-                 (List.find_opt same (list_field "flat_obs" baseline))
-                 (float_field "prof_off_steps_per_s"),
-               float_field "prof_off_steps_per_s" fresh_record )
+                 (List.find_opt same (Jsonl.items "flat_obs" baseline))
+                 (Jsonl.float_opt "prof_off_steps_per_s"),
+               Jsonl.float_opt "prof_off_steps_per_s" fresh_record )
            with
            | Some base_r, Some fresh_r when base_r > 0. ->
                if fresh_r < base_r *. (1. -. obs_tolerance) then
@@ -421,7 +419,7 @@ let () =
                    n fresh_r base_r
                    (((fresh_r /. base_r) -. 1.) *. 100.)
            | _ -> ());
-          match float_field "prof_overhead_pct" fresh_record with
+          match Jsonl.float_opt "prof_overhead_pct" fresh_record with
           | Some pct when pct > obs_overhead_cap ->
               fail "flat_obs n=%d: prof-on overhead %.1f%% exceeds %.0f%% cap"
                 n pct obs_overhead_cap

@@ -85,9 +85,13 @@ let () =
         prerr_endline "usage: ci_sync.exe PATH/TO/ci.yml";
         exit 2
   in
-  let ic = open_in_bin path in
-  let body = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let body =
+    match Ssreset_obs.Jsonl.load_file path with
+    | Ok body -> body
+    | Error msg ->
+        prerr_endline msg;
+        exit 2
+  in
   let missing =
     List.filter (fun (_, needle) -> not (contains ~needle body)) required
   in

@@ -14,28 +14,22 @@
    automorphisms and certificate fields.  [--check-smt] validates an
    ssreset-smt-v2 obligation manifest: every referenced .smt2 file (in
    the manifest's directory) must re-parse through Ssreset_check.Smt's
-   reader and lint clean.  [--check-trace] validates the ssreset-trace-v1
-   schema (manifest first, strictly increasing step/round records,
-   wave-tagged movers, one summary whose counters cross-check the step
-   records) via Ssreset_obs.Tracefile.  [--check-prof] validates the
-   ssreset-prof-v1 profile schema (manifest first, window records with
-   strictly increasing indices and at_step, one summary whose window
-   count and per-rule move counters cross-check the window records) via
-   Ssreset_obs.Proffile.  Exit status 0 iff the file is valid; used by
-   the `dune runtest` smoke rules in bench/ and bin/. *)
+   reader and lint clean.  [--check-trace] and [--check-prof] validate an
+   ssreset-trace-v1 run trace and an ssreset-prof-v1 profile through
+   their readers, Ssreset_obs.Tracefile and Ssreset_obs.Proffile: the
+   shared Ssreset_obs.Jsonl envelope (manifest first, one summary last)
+   plus each reader's cross-checks (step/round order and counts for
+   traces, the window chain and per-rule move counters for profiles).
+   An unreadable FILE is reported as [FILE: reason].  Exit status 0 iff
+   the file is valid, 1 otherwise; used by the `dune runtest` smoke rules
+   in bench/, bin/ and tools/. *)
 
 module Json = Ssreset_obs.Json
+module Jsonl = Ssreset_obs.Jsonl
 
 let split_commas s = String.split_on_char ',' s |> List.filter (( <> ) "")
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
 
 let check_keys ~path keys = function
   | Json.Obj fields ->
@@ -248,32 +242,25 @@ let () =
     incr i
   done;
   if !files = [] then fail "jsonlint: no input file";
+  let check = function Ok _ -> () | Error msg -> fail "%s" msg in
   List.iter
     (fun path ->
-      let contents = read_file path in
-      if !trace then begin
-        match Ssreset_obs.Tracefile.check_file path with
-        | Ok () -> ()
-        | Error msg -> fail "%s" msg
-      end
-      else if !prof then begin
-        match Ssreset_obs.Proffile.check_file path with
-        | Ok () -> ()
-        | Error msg -> fail "%s" msg
-      end
+      let contents =
+        match Jsonl.load_file path with Ok s -> s | Error msg -> fail "%s" msg
+      in
+      if !trace then check (Ssreset_obs.Tracefile.load_string ~path contents)
+      else if !prof then check (Ssreset_obs.Proffile.load_string ~path contents)
       else if !jsonl then begin
         let seen = Hashtbl.create 8 in
-        let lines = String.split_on_char '\n' contents in
-        List.iteri
-          (fun lineno line ->
-            if String.trim line <> "" then
-              match Json.of_string line with
-              | Error msg -> fail "%s:%d: %s" path (lineno + 1) msg
-              | Ok json -> (
-                  match Option.bind (Json.member "type" json) Json.to_string_opt with
-                  | Some ty -> Hashtbl.replace seen ty ()
-                  | None -> ()))
-          lines;
+        List.iter
+          (fun (lineno, line) ->
+            match Json.of_string line with
+            | Error msg -> fail "%s:%d: %s" path lineno msg
+            | Ok json ->
+                Option.iter
+                  (fun ty -> Hashtbl.replace seen ty ())
+                  (Jsonl.string_opt "type" json))
+          (Jsonl.lines contents);
         List.iter
           (fun ty ->
             if not (Hashtbl.mem seen ty) then
