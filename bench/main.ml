@@ -1,15 +1,15 @@
 (* Benchmark harness.
 
-   Usage: main.exe [--quick] [--no-timing] [--jobs N] [--out FILE]
-                   [EXPERIMENT-ID ...]
+   Usage: main.exe [--quick] [--jobs N] [--out FILE] [EXPERIMENT-ID ...]
 
    Without ids, regenerates every experiment table of the paper reproduction
    (E1..E16, see DESIGN.md and EXPERIMENTS.md) followed by the checker
    throughput sections (configs/s over the registry; check-v2 footprint
    views/s and symmetry-reduced orbits/s; check-v3 SMT obligation
-   compilation and symbolic-differential rates), the engine scheduler
-   throughput section and the Bechamel wall-clock suite (B1).  Exit status
-   is non-zero if any table reports a violated bound.
+   compilation and symbolic-differential rates) and the engine sections
+   (trace-v1 and prof overhead on the classic engine; engine_flat and
+   flat_obs on the flat data path).  Exit status is non-zero if any table
+   reports a violated bound.
 
    [--jobs N] fans the grid cells of each experiment across N OCaml domains
    (default: the profile's setting, 1).  Tables and the results file are
@@ -30,7 +30,6 @@ let available =
 
 let parse_args () =
   let quick = ref false in
-  let timing = ref true in
   let out = ref "BENCH_results.json" in
   let jobs = ref None in
   let ids = ref [] in
@@ -40,7 +39,6 @@ let parse_args () =
     (match Sys.argv.(!i) with
     | "--quick" -> quick := true
     | "--full" -> quick := false
-    | "--no-timing" -> timing := false
     | "--out" when !i + 1 < argc ->
         incr i;
         out := Sys.argv.(!i)
@@ -54,8 +52,7 @@ let parse_args () =
             exit 2)
     | "--help" | "-h" ->
         Printf.printf
-          "usage: %s [--quick] [--no-timing] [--jobs N] [--out FILE] \
-           [EXPERIMENT-ID ...]\n\
+          "usage: %s [--quick] [--jobs N] [--out FILE] [EXPERIMENT-ID ...]\n\
            experiments: %s\n"
           Sys.argv.(0)
           (String.concat " " available);
@@ -66,7 +63,7 @@ let parse_args () =
         exit 2);
     incr i
   done;
-  (!quick, !timing, !out, !jobs, List.rev !ids)
+  (!quick, !out, !jobs, List.rev !ids)
 
 (* A table passes when its last column is all "ok". *)
 let table_ok table =
@@ -169,167 +166,6 @@ let run_experiments ~profile ~ids =
         :: !records)
     selected;
   (!failures, List.rev !records)
-
-(* ------------------------------------------------------------------ *)
-(* Engine scheduler throughput: full per-step rescan vs the dirty-set  *)
-(* incremental scheduler, on a U∘SDR ring under the central-random     *)
-(* daemon (one mover per step — the worst case for a full rescan, and  *)
-(* the common case under central daemons).  Both runs execute exactly  *)
-(* the same step sequence (same seed, same table semantics), so the    *)
-(* steps/s ratio isolates the scheduling cost.                         *)
-(* ------------------------------------------------------------------ *)
-
-let run_engine_bench ~quick =
-  Printf.printf "== engine: scheduler throughput, U∘SDR ring, central-random \
-                 daemon ==\n%!";
-  let sizes = [ 64; 256; 1024 ] in
-  let records =
-    List.map
-      (fun n ->
-        let graph = Ssreset_graph.Gen.ring n in
-        let module U = Ssreset_unison.Unison.Make (struct
-          let k = (2 * n) + 2
-        end) in
-        let gen = U.Composed.generator ~inner:U.clock_gen ~max_d:(2 * n) in
-        let cfg0 =
-          Ssreset_sim.Fault.arbitrary (Random.State.make [| 3; n |]) gen graph
-        in
-        let max_steps = if quick then 2_000 else 20_000 in
-        let measure scheduler =
-          Ssreset_sim.Engine.run ~seed:5 ~max_steps ~scheduler
-            ~algorithm:U.Composed.algorithm ~graph
-            ~daemon:Ssreset_sim.Daemon.central_random (Array.copy cfg0)
-        in
-        let full = measure `Full in
-        let inc = measure `Incremental in
-        (* Bit-identity cross-check — the two schedulers must agree on
-           everything but wall-clock. *)
-        if
-          full.Ssreset_sim.Engine.steps <> inc.Ssreset_sim.Engine.steps
-          || full.Ssreset_sim.Engine.moves <> inc.Ssreset_sim.Engine.moves
-          || full.Ssreset_sim.Engine.rounds <> inc.Ssreset_sim.Engine.rounds
-          || full.Ssreset_sim.Engine.final <> inc.Ssreset_sim.Engine.final
-        then failwith "engine bench: schedulers diverged";
-        let rate (r : _ Ssreset_sim.Engine.result) =
-          if r.wall_s > 0. then float_of_int r.steps /. r.wall_s else 0.
-        in
-        let full_rate = rate full and inc_rate = rate inc in
-        let speedup = if full_rate > 0. then inc_rate /. full_rate else 0. in
-        Printf.printf
-          "  n=%-5d %7d steps   full %10.0f steps/s   incremental %10.0f \
-           steps/s   speedup %5.1fx\n\
-           %!"
-          n full.Ssreset_sim.Engine.steps full_rate inc_rate speedup;
-        Json.Obj
-          [ ("n", Json.Int n);
-            ("daemon", Json.String "central-random");
-            ("steps", Json.Int full.Ssreset_sim.Engine.steps);
-            ("full_steps_per_s", Json.Float full_rate);
-            ("incremental_steps_per_s", Json.Float inc_rate);
-            ("speedup", Json.Float speedup) ])
-      sizes
-  in
-  print_newline ();
-  records
-
-(* ------------------------------------------------------------------ *)
-(* B1: Bechamel wall-clock suite.                                       *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests ~quick =
-  let open Bechamel in
-  let n = if quick then 24 else 48 in
-  let graph = Ssreset_graph.Gen.ring n in
-  let er_graph =
-    Ssreset_graph.Gen.erdos_renyi (Random.State.make [| 11 |]) n 0.15
-  in
-  let stabilize_unison g () =
-    let obs =
-      Expt.Runner.run Expt.Runner.unison ~graph:g
-        ~daemon:(Ssreset_sim.Daemon.distributed_random 0.5)
-        ~seed:7
-    in
-    assert obs.Expt.Runner.result_ok
-  in
-  let stabilize_fga g () =
-    let obs =
-      Expt.Runner.run
-        (Expt.Runner.alliance Ssreset_alliance.Spec.dominating_set)
-        ~graph:g
-        ~daemon:(Ssreset_sim.Daemon.distributed_random 0.5)
-        ~seed:7
-    in
-    assert obs.Expt.Runner.result_ok
-  in
-  let stabilize_tail g () =
-    let obs =
-      Expt.Runner.run Expt.Runner.tail_unison ~graph:g
-        ~daemon:(Ssreset_sim.Daemon.distributed_random 0.5)
-        ~seed:7
-    in
-    assert obs.Expt.Runner.result_ok
-  in
-  let engine_step =
-    (* One synchronous step of U∘SDR from a fixed arbitrary configuration:
-       the engine's hot path (guard evaluation over all processes). *)
-    let module U = Ssreset_unison.Unison.Make (struct
-      let k = (2 * n) + 2
-    end) in
-    let gen = U.Composed.generator ~inner:U.clock_gen ~max_d:(2 * n) in
-    let cfg =
-      Ssreset_sim.Fault.arbitrary (Random.State.make [| 3 |]) gen graph
-    in
-    let rng = Random.State.make [| 4 |] in
-    fun () ->
-      ignore
-        (Ssreset_sim.Engine.step ~rng ~algorithm:U.Composed.algorithm ~graph
-           ~daemon:Ssreset_sim.Daemon.synchronous ~step_index:0 cfg)
-  in
-  [ Test.make ~name:(Printf.sprintf "engine-step/unison-sdr-ring%d" n)
-      (Staged.stage engine_step);
-    Test.make ~name:(Printf.sprintf "stabilize/unison-sdr-ring%d" n)
-      (Staged.stage (stabilize_unison graph));
-    Test.make ~name:(Printf.sprintf "stabilize/unison-sdr-er%d" n)
-      (Staged.stage (stabilize_unison er_graph));
-    Test.make ~name:(Printf.sprintf "stabilize/fga-sdr-er%d" n)
-      (Staged.stage (stabilize_fga er_graph));
-    Test.make ~name:(Printf.sprintf "stabilize/tail-unison-ring%d" n)
-      (Staged.stage (stabilize_tail graph)) ]
-
-let run_bechamel ~quick =
-  let open Bechamel in
-  let open Toolkit in
-  Printf.printf "== B1 wall-clock (Bechamel, OLS on monotonic clock) ==\n%!";
-  let cfg =
-    Benchmark.cfg ~limit:200
-      ~quota:(Time.second (if quick then 0.25 else 1.0))
-      ~kde:None ()
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = ref [] in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let result = Benchmark.run cfg instances elt in
-          let estimate = Analyze.one ols Instance.monotonic_clock result in
-          let ns =
-            match Analyze.OLS.estimates estimate with
-            | Some (e :: _) -> e
-            | _ -> nan
-          in
-          Printf.printf "  %-36s %14.0f ns/run\n%!" (Test.Elt.name elt) ns;
-          results :=
-            Json.Obj
-              [ ("name", Json.String (Test.Elt.name elt));
-                ("ns_per_run", Json.Float ns) ]
-            :: !results)
-        (Test.elements test))
-    (bechamel_tests ~quick);
-  List.rev !results
 
 (* ------------------------------------------------------------------ *)
 (* Model-checker throughput: lint + exhaustive verification over the   *)
@@ -784,8 +620,8 @@ let run_smt_bench ~quick =
       ("differential_inputs", Json.List inputs) ]
 
 (* ------------------------------------------------------------------ *)
-(* engine_flat: the IR-compiled flat data path against the incremental *)
-(* scheduler — same U∘SDR ring workload, same seed, same daemon, and a *)
+(* engine_flat: the IR-compiled flat data path against the classic     *)
+(* engine — same U∘SDR ring workload, same seed, same daemon, and a    *)
 (* bit-identity cross-check (steps/moves/rounds and the final encoded  *)
 (* state of every process must agree), so the steps/s ratio isolates   *)
 (* the execution substrate.  A second block measures the scale-tier    *)
@@ -809,7 +645,7 @@ let flat_value_lists_equal a b =
 
 let run_flat_bench ~quick =
   Printf.printf
-    "== engine_flat: IR-compiled flat engine vs incremental scheduler, \
+    "== engine_flat: IR-compiled flat engine vs classic engine, \
      U∘SDR ring, central-random daemon ==\n%!";
   let sizes = [ 64; 256; 1024 ] in
   let head_to_head =
@@ -828,7 +664,7 @@ let run_flat_bench ~quick =
         in
         let max_steps = if quick then 2_000 else 20_000 in
         let inc =
-          Ssreset_sim.Engine.run ~seed:5 ~max_steps ~scheduler:`Incremental
+          Ssreset_sim.Engine.run ~seed:5 ~max_steps
             ~algorithm:I.algorithm ~graph
             ~daemon:Ssreset_sim.Daemon.central_random (Array.copy cfg0)
         in
@@ -997,7 +833,7 @@ let run_flat_obs_bench ~quick =
         ("prof_overhead_pct", Json.Float overhead) ] ]
 
 let () =
-  let quick, timing, out, jobs, ids = parse_args () in
+  let quick, out, jobs, ids = parse_args () in
   let profile =
     if quick then Expt.Experiments.quick else Expt.Experiments.full
   in
@@ -1022,7 +858,6 @@ let () =
     if ids = [] then run_check_v2 ~quick
     else Json.Obj [ ("footprint", Json.List []); ("symmetry", Json.List []) ]
   in
-  let engine = if ids = [] then run_engine_bench ~quick else [] in
   let engine_flat =
     if ids = [] then run_flat_bench ~quick
     else
@@ -1036,9 +871,6 @@ let () =
     if ids = [] then run_smt_bench ~quick
     else Json.Obj [ ("compile", Json.Null); ("differential", Json.Null) ]
   in
-  let timings =
-    if timing && ids = [] then run_bechamel ~quick else []
-  in
   let results =
     Json.Obj
       [ ("schema", Json.Int Ssreset_obs.Sink.schema_version);
@@ -1048,15 +880,13 @@ let () =
         ("failures", Json.Int failures);
         ("wall_s", Json.Float (Unix.gettimeofday () -. t0));
         ("experiments", Json.List experiments);
-        ("engine", Json.List engine);
         ("engine_flat", engine_flat);
         ("flat_obs", Json.List flat_obs);
         ("trace_v1", Json.List trace_v1);
         ("prof", Json.List prof_bench);
         ("check", Json.List check_records);
         ("check_v2", check_v2);
-        ("smt", smt_bench);
-        ("timing", Json.List timings) ]
+        ("smt", smt_bench) ]
   in
   let oc = open_out out in
   output_string oc (Json.to_string_hum results);

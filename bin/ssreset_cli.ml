@@ -396,26 +396,47 @@ let run_flat ~output ~system ~family ~n ~seed ~daemon_name ~parts ~perturb
 
 (* ------------------------------ subcommands ----------------------------- *)
 
+(* Option combinations and counts [run] rejects before building anything:
+   a negative --perturb would corrupt nothing, --parts below 1 would
+   quietly run sequentially, --heartbeat 0 would never beat, and a negative
+   --prof-window would land in the profile manifest. *)
+let usage_error ~output ~parts ~perturb ~heartbeat =
+  let below flag least = function
+    | Some v when v < least ->
+        Some (Printf.sprintf "%s must be at least %d (got %d)" flag least v)
+    | _ -> None
+  in
+  if output.trace_steps && output.trace_out = None then
+    Some "--trace-steps needs --trace-out FILE"
+  else
+    List.find_map Fun.id
+      [ below "--parts" 1 (Some parts);
+        below "--perturb" 0 perturb;
+        below "--heartbeat" 1 heartbeat;
+        below "--prof-window" 0 (Some output.prof_window) ]
+
 let run_cmd =
   let run system family n seed daemon_name spec engine parts perturb digest
       monitors heartbeat output =
     let systems = Runner.systems ~spec in
     match
-      (engine, List.find_opt (fun s -> Runner.name s = system) systems)
+      ( usage_error ~output ~parts ~perturb ~heartbeat,
+        engine,
+        List.find_opt (fun s -> Runner.name s = system) systems )
     with
-    | _ when output.trace_steps && output.trace_out = None ->
-        Fmt.epr "ssreset: --trace-steps needs --trace-out FILE@.";
+    | Some msg, _, _ ->
+        Fmt.epr "ssreset: %s@." msg;
         2
-    | ("classic" | "flat"), None ->
+    | None, ("classic" | "flat"), None ->
         Fmt.epr "ssreset: unknown system %S (one of: %s)@." system
           (String.concat ", " (List.map Runner.name systems));
         2
-    | "classic", Some system ->
+    | None, "classic", Some system ->
         run_classic ~output ~system ~family ~n ~seed ~daemon_name
-    | "flat", Some _ ->
+    | None, "flat", Some _ ->
         run_flat ~output ~system ~family ~n ~seed ~daemon_name ~parts ~perturb
           ~digest ~monitors ~heartbeat
-    | e, _ ->
+    | None, e, _ ->
         Fmt.epr "ssreset: unknown engine %S (classic or flat)@." e;
         2
   in

@@ -15,9 +15,7 @@
     not.  Without a sink no telemetry code runs at all.  [?prof] is
     forwarded to {!Ssreset_sim.Engine.run}: an attached {!Ssreset_obs.Prof}
     profiler collects phase/rule timings, scheduler and GC counters, and
-    streaming windows, without changing any result.  Runs always use the
-    engine's default incremental scheduler; its bit-identity with the full
-    rescan is asserted by the scheduler tests.
+    streaming windows, without changing any result.
 
     With a sink attached, composed runs additionally install online
     {!Ssreset_obs.Monitor}s: the 3n round bound and D·n² move bound for

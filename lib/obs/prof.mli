@@ -4,7 +4,7 @@
     One [Prof.t] rides along a measured run (or several — instruments
     accumulate).  The record path is engineered for the engine's step
     loop: a timer span is one monotonic-clock read ({!now_ns}, a [noalloc]
-    C stub from [bechamel.monotonic_clock]) plus a {!Histogram.record} —
+    C stub over [clock_gettime]) plus a {!Histogram.record} —
     integer arithmetic and two array writes, nothing allocated.  Counters
     and gauges are {!Metrics} instruments ({!metrics} exposes the
     registry), so the existing JSON snapshot and the {!Metrics.diff}
@@ -36,9 +36,11 @@ val create : ?sub_bits:int -> ?window_steps:int -> ?sink:Sink.t -> unit -> t
     [sub_bits] is the resolution of every histogram (see
     {!Histogram.create}). *)
 
-val now_ns : unit -> int
-(** Monotonic clock, nanoseconds.  Differences are meaningful; the origin
-    is arbitrary. *)
+external now_ns : unit -> (int[@untagged])
+  = "ssreset_clock_now_ns_byte" "ssreset_clock_now_ns"
+[@@noalloc]
+(** Monotonic clock ([CLOCK_MONOTONIC]), nanoseconds; a read allocates
+    nothing.  Differences are meaningful; the origin is arbitrary. *)
 
 val metrics : t -> Metrics.t
 (** The embedded counter/gauge registry. *)

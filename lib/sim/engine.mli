@@ -5,24 +5,21 @@
     activated process atomically executes its enabled rule, all of them
     reading the {e same} (pre-step) configuration — composite atomicity.
     Moves and rounds are counted exactly per the paper's definitions,
-    including neutralization-based rounds. *)
+    including neutralization-based rounds.
+
+    [run] keeps an enabled-rule table up to date between steps by
+    re-evaluating only the closed neighborhoods of the processes that
+    moved: a step changes only the movers' states, and a guard reads only
+    the process's own view, so no other process can change enabled
+    status.  The full O(n·Δ) rescan the paper's definitions describe is
+    {!step} (which rebuilds the table on every call); the test suite runs
+    a round-counting oracle over it against [run] on the whole algorithm
+    zoo, every daemon and many seeds. *)
 
 type outcome =
   | Stabilized  (** the [stop] predicate became true *)
   | Terminal  (** no process is enabled (and [stop] was false) *)
   | Step_limit  (** [max_steps] was exhausted first *)
-
-type scheduler = [ `Full | `Incremental ]
-(** How [run] keeps its enabled-rule table up to date between steps.
-
-    [`Full] rescans every process after each step — the reference O(n·Δ)
-    path, kept for cross-checking.  [`Incremental] (the default) re-evaluates
-    only the closed neighborhoods of the processes that moved: a step changes
-    only the movers' states, and a guard reads only the process's own view,
-    so no other process can change enabled status.  Both schedulers maintain
-    the exact same table and consume the RNG identically, so results are
-    bit-identical — which the test suite asserts over the whole algorithm
-    zoo, every daemon and many seeds. *)
 
 type 'state result = {
   outcome : outcome;
@@ -43,7 +40,6 @@ val run :
   ?seed:int ->
   ?max_steps:int ->
   ?check_overlap:bool ->
-  ?scheduler:scheduler ->
   ?prof:Ssreset_obs.Prof.t ->
   ?observer:(step:int -> moved:(int * string) list -> 'state array -> unit) ->
   ?on_step:(step:int -> enabled:int -> selected:int -> unit) ->
@@ -65,9 +61,6 @@ val run :
     [seed] (default 0), so an rng-less run is reproducible regardless of
     what other engine runs executed before it — there is no shared
     module-level state.
-
-    [scheduler] selects how enabled rules are recomputed between steps (see
-    {!type:scheduler}); it affects wall-clock only, never results.
 
     [prof] attaches a {!Ssreset_obs.Prof} profiler.  There is one step
     loop: it keeps the touch and eval counts in local ints on every run,
@@ -104,11 +97,11 @@ val run :
 (** {2 Scheduler counters}
 
     The refresh layer's instruments, shared with the flat engine so both
-    report the same names: [sched.touched] (touch attempts; a [`Full]
-    rescan touches every process), [sched.evals] (guard re-evaluations),
-    [sched.dedup_hits] (touches the dirty-set stamp skipped, [touched -
-    evals]), [sched.table_flips] (enabled-rule entries that changed) and
-    the per-step [sched.refresh_size] histogram (evals). *)
+    report the same names: [sched.touched] (touch attempts), [sched.evals]
+    (guard re-evaluations), [sched.dedup_hits] (touches the dirty-set
+    stamp skipped, [touched - evals]), [sched.table_flips] (enabled-rule
+    entries that changed) and the per-step [sched.refresh_size] histogram
+    (evals). *)
 
 type sched_counters
 

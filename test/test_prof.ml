@@ -214,6 +214,33 @@ let metrics_tests =
   [ Alcotest.test_case "snapshot/diff: increments only, no double counting"
       `Quick snapshot_diff_no_double_count ]
 
+(* -------------------------------- clock -------------------------------- *)
+
+(* [Prof.now_ns] is read several times per engine step, so it must never
+   run backwards and must not allocate.  The allocation check compares the
+   reads' minor-word delta with an empty measurement's, so whatever
+   [Gc.minor_words] allocates itself (bytecode boxes its float) cancels. *)
+let clock_monotone_and_allocation_free () =
+  let reads = 100_000 in
+  let backwards = ref 0 in
+  let prev = ref (Prof.now_ns ()) in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for _ = 1 to reads do
+    let t = Prof.now_ns () in
+    if t < !prev then incr backwards;
+    prev := t
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check int) "reads that went backwards" 0 !backwards;
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "minor words allocated by %d reads" reads)
+    0. ((w2 -. w1) -. (w1 -. w0))
+
+let clock_tests =
+  [ Alcotest.test_case "now_ns: 10^5 reads monotone, 0 minor words" `Quick
+      clock_monotone_and_allocation_free ]
+
 (* ------------------- prof-on ≡ prof-off over the zoo ------------------- *)
 
 let same_result equal (a : _ Engine.result) (b : _ Engine.result) =
@@ -441,6 +468,7 @@ let () =
   Alcotest.run "prof"
     [ ("histogram", histogram_tests);
       ("metrics", metrics_tests);
+      ("clock", clock_tests);
       ("engine", engine_tests);
       ("windows", window_tests);
       ("pool", pool_tests) ]

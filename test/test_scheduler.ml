@@ -1,13 +1,15 @@
-(* Scheduler equivalence and pool determinism.
+(* Engine oracle and pool determinism.
 
-   The dirty-set (`Incremental) scheduler must be bit-identical to the
-   reference full-rescan (`Full) path: same outcome, step, move and round
-   counts, same per-rule and per-process tallies, same final configuration —
-   on every registered algorithm, under every daemon of the zoo, across many
-   seeds.  And Pool.map_* must return the same values (and surface the same
-   error) for any jobs count. *)
+   [Engine.run] (dirty-set refresh of the movers' neighborhoods, O(movers·Δ)
+   neutralization check) must be bit-identical to a full-rescan oracle
+   written straight from the paper's definitions: same outcome, step, move
+   and round counts, same per-rule and per-process tallies, same final
+   configuration — on every registered algorithm, under every daemon of the
+   zoo, across many seeds.  And Pool.map_* must return the same values (and
+   surface the same error) for any jobs count. *)
 
 module Engine = Ssreset_sim.Engine
+module Algorithm = Ssreset_sim.Algorithm
 module Daemon = Ssreset_sim.Daemon
 module Pool = Ssreset_sim.Pool
 module Graph = Ssreset_graph.Graph
@@ -16,13 +18,73 @@ module Registry = Ssreset_check.Registry
 module Finite = Ssreset_check.Finite
 module Experiments = Ssreset_expt.Experiments
 
-(* ------------------------ full vs incremental ------------------------- *)
+(* ----------------------- full-rescan oracle --------------------------- *)
+
+(* §2.2–2.4 with nothing incremental.  Every step goes through
+   [Engine.step], which rebuilds the enabled table from scratch, and
+   rounds are counted from the full before/after enabled sets: a round
+   starts with [pending] = the processes enabled in its first
+   configuration; a process leaves [pending] when it moves or is
+   neutralized (enabled before a step, disabled after it, without
+   moving); the round is complete when [pending] is empty.  [rounds]
+   counts the final partial round if it holds a step, as [Engine.run]
+   documents. *)
+let oracle_run ~algorithm ~graph ~daemon ~rng ~max_steps cfg0 =
+  let n = Graph.n graph in
+  let enabled cfg u =
+    Algorithm.is_enabled algorithm (Algorithm.view graph cfg u)
+  in
+  let enabled_set cfg = List.filter (enabled cfg) (List.init n Fun.id) in
+  let moves_per_process = Array.make n 0 in
+  let per_rule = Hashtbl.create 8 in
+  let rec go cfg ~steps ~moves ~rounds ~pending ~in_round =
+    let finish outcome =
+      { Engine.outcome;
+        final = cfg;
+        steps;
+        moves;
+        moves_per_process;
+        moves_per_rule =
+          Hashtbl.fold (fun k v l -> (k, v) :: l) per_rule []
+          |> List.sort compare;
+        rounds = (if in_round then rounds + 1 else rounds);
+        wall_s = 0. }
+    in
+    let before = ref [] in
+    if steps >= max_steps then finish Engine.Step_limit
+    else
+      match
+        Engine.step ~rng ~on_enabled:(fun l -> before := l) ~algorithm ~graph
+          ~daemon ~step_index:steps cfg
+      with
+      | None -> finish Engine.Terminal
+      | Some (next, moved) ->
+          List.iter
+            (fun (u, rule) ->
+              moves_per_process.(u) <- moves_per_process.(u) + 1;
+              Hashtbl.replace per_rule rule
+                (1 + Option.value ~default:0 (Hashtbl.find_opt per_rule rule)))
+            moved;
+          let moved_or_neutralized u =
+            List.mem_assoc u moved
+            || (List.mem u !before && not (enabled next u))
+          in
+          let pending =
+            List.filter (fun u -> not (moved_or_neutralized u)) pending
+          in
+          let steps = steps + 1 and moves = moves + List.length moved in
+          if pending = [] then
+            go next ~steps ~moves ~rounds:(rounds + 1)
+              ~pending:(enabled_set next) ~in_round:false
+          else go next ~steps ~moves ~rounds ~pending ~in_round:true
+  in
+  go cfg0 ~steps:0 ~moves:0 ~rounds:0 ~pending:(enabled_set cfg0)
+    ~in_round:false
 
 let seeds = 20
 let graphs () = [ Gen.ring 5; Gen.erdos_renyi (Random.State.make [| 9 |]) 6 0.4 ]
 
-(* Compare every field of the two results except wall_s (the only field a
-   scheduler may legitimately change). *)
+(* Compare every field of the two results except wall_s. *)
 let same_result equal (a : _ Engine.result) (b : _ Engine.result) =
   a.Engine.outcome = b.Engine.outcome
   && a.Engine.steps = b.Engine.steps
@@ -34,10 +96,10 @@ let same_result equal (a : _ Engine.result) (b : _ Engine.result) =
   && Array.for_all2 equal a.Engine.final b.Engine.final
 
 (* Fresh daemon per run: round-robin carries a cursor, so a shared daemon
-   value would leak state from the `Full run into the `Incremental one. *)
+   value would leak state from the oracle run into the engine run. *)
 let fresh_daemon name = List.assoc name (Daemon.registry ())
 
-let scheduler_equivalence_case (entry : Registry.entry) =
+let oracle_case (entry : Registry.entry) =
   Alcotest.test_case
     (Printf.sprintf "%s: full ≡ incremental (every daemon, %d seeds)"
        entry.Registry.name seeds)
@@ -52,31 +114,32 @@ let scheduler_equivalence_case (entry : Registry.entry) =
                   let dom = F.domain u in
                   List.nth dom (Random.State.int rng (List.length dom)))
             in
-            let run_with scheduler ~daemon_name ~seed cfg =
-              Engine.run
-                ~rng:(Random.State.make [| seed |])
-                ~max_steps:2_000 ~scheduler ~algorithm:F.algorithm
-                ~graph:F.graph
-                ~daemon:(fresh_daemon daemon_name) (Array.copy cfg)
-            in
+            let max_steps = 2_000 in
             List.iter
               (fun daemon_name ->
                 for seed = 1 to seeds do
                   let cfg = random_cfg (Random.State.make [| seed; 77 |]) in
-                  let full = run_with `Full ~daemon_name ~seed cfg in
-                  let inc = run_with `Incremental ~daemon_name ~seed cfg in
-                  if
-                    not
-                      (same_result F.algorithm.Ssreset_sim.Algorithm.equal
-                         full inc)
+                  let oracle =
+                    oracle_run ~algorithm:F.algorithm ~graph:F.graph
+                      ~daemon:(fresh_daemon daemon_name)
+                      ~rng:(Random.State.make [| seed |])
+                      ~max_steps (Array.copy cfg)
+                  in
+                  let run =
+                    Engine.run
+                      ~rng:(Random.State.make [| seed |])
+                      ~max_steps ~algorithm:F.algorithm ~graph:F.graph
+                      ~daemon:(fresh_daemon daemon_name) (Array.copy cfg)
+                  in
+                  if not (same_result F.algorithm.Algorithm.equal oracle run)
                   then
                     Alcotest.failf
-                      "%s under %s, seed %d: schedulers diverged \
-                       (full: %d steps %d moves %d rounds; incremental: %d \
-                       steps %d moves %d rounds)"
-                      F.name daemon_name seed full.Engine.steps
-                      full.Engine.moves full.Engine.rounds inc.Engine.steps
-                      inc.Engine.moves inc.Engine.rounds
+                      "%s under %s, seed %d: run diverged from the oracle \
+                       (oracle: %d steps %d moves %d rounds; run: %d steps \
+                       %d moves %d rounds)"
+                      F.name daemon_name seed oracle.Engine.steps
+                      oracle.Engine.moves oracle.Engine.rounds
+                      run.Engine.steps run.Engine.moves run.Engine.rounds
                 done)
               (Daemon.names ())
           end)
@@ -108,10 +171,10 @@ let rngless_runs_are_order_independent () =
             (Array.copy cfg));
   let interleaved = go () in
   Alcotest.(check bool) "same result regardless of surrounding runs" true
-    (same_result F.algorithm.Ssreset_sim.Algorithm.equal isolated interleaved)
+    (same_result F.algorithm.Algorithm.equal isolated interleaved)
 
-let scheduler_tests =
-  List.map scheduler_equivalence_case Registry.entries
+let engine_tests =
+  List.map oracle_case Registry.entries
   @ [ Alcotest.test_case "rng-less runs are order-independent (?seed, no \
                           shared state)"
         `Quick rngless_runs_are_order_independent ]
@@ -187,4 +250,4 @@ let pool_tests =
 
 let () =
   Alcotest.run "scheduler"
-    [ ("full-vs-incremental", scheduler_tests); ("pool", pool_tests) ]
+    [ ("full-vs-incremental", engine_tests); ("pool", pool_tests) ]

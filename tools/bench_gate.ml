@@ -20,10 +20,8 @@
    real regression in the engine or the experiment drivers.
 
    Experiments only present in the fresh file (newly added ones) pass the
-   gate: the baseline learns them at the next refresh.  Bechamel timing and
-   the engine throughput section are reported for information, not gated —
-   single-run ns estimates on shared hardware are too noisy to fail a
-   build on. *)
+   gate: the baseline learns them at the next refresh.  Sections of the
+   baseline that the harness no longer writes are ignored. *)
 
 module Json = Ssreset_obs.Json
 module Jsonl = Ssreset_obs.Jsonl
@@ -292,18 +290,7 @@ let () =
                 (Jsonl.items "differential_inputs" fresh_smt))
       | _ -> ()));
 
-  (* 6. Engine scheduler throughput — informational. *)
-  List.iter
-    (fun r ->
-      match
-        ( Jsonl.int_opt "n" r,
-          Jsonl.float_opt "speedup" r )
-      with
-      | Some n, Some s -> info "engine n=%d: incremental speedup %.1fx" n s
-      | _ -> ())
-    (Jsonl.items "engine" fresh);
-
-  (* 7. engine_flat: the IR-compiled flat data path.  Digest agreement
+  (* 6. engine_flat: the IR-compiled flat data path.  Digest agreement
      across domain counts is correctness (never negotiable).  Throughput
      holds to the baseline only when the baseline knows the section: a
      section present in the fresh results but absent from the committed
@@ -377,7 +364,7 @@ let () =
           gate_rate ~section:"scale" ~key:[ "n"; "parts" ]
             ~field:"steps_per_s" "scale"));
 
-  (* 8. flat_obs: observability on the flat data path.  Same contract as
+  (* 7. flat_obs: observability on the flat data path.  Same contract as
      the prof gate, on the scale-tier workload: prof-off throughput holds
      to the baseline (noise floor 5%), and the measured prof-on overhead
      stays under a cap that never tightens below 10% — the flat hot loop

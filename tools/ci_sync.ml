@@ -11,7 +11,7 @@ let required =
     ("model-checking gate", "check --quick");
     ( "symmetry-reduced exhaustive check",
       "check tail-unison --symmetry --family complete --max-n 6" );
-    ("quick bench", "--quick");
+    ("quick bench", "bench/main.exe -- --quick --out fresh-bench.json");
     ("bench regression gate", "bench_gate");
     ("trace schema validation", "--check-trace");
     ("trace summary smoke", "trace summary");
@@ -35,6 +35,8 @@ let required =
     ( "flat engine does not import the verifier",
       "ocamlobjinfo _build/default/lib/sim/flat/.ssreset_flat.objs/byte/*.cmo \
        | grep Ssreset_check" );
+    ( "libraries do not import bechamel",
+      "ocamlobjinfo $units | grep -E 'Monotonic_clock|Bechamel'" );
     ( "flat scale smoke, sequential",
       "run unison --engine flat -g ring -n 100000 --perturb 5000 -d \
        synchronous --parts 1 --digest" );
