@@ -59,7 +59,7 @@ type counts = {
 let same_entry before after =
   match (before, after) with
   | None, None -> true
-  | Some a, Some b -> String.equal a.Algorithm.rule_name b.Algorithm.rule_name
+  | Some a, Some b -> a == b  (* [enabled_rule] returns [algo.rules] members *)
   | _ -> false
 
 (* Bring [table] up to date with [cfg] after a step: the dirty-set
@@ -68,13 +68,10 @@ let same_entry before after =
    states — so only the closed neighborhoods of the movers can change
    enabled status.  [stamp]/[gen] deduplicate processes shared by several
    movers' neighborhoods without any per-step allocation.  [c] receives
-   the step's counts.  Counting [sched.table_flips] costs a rule-name
-   compare per eval, so only profiled runs ask for it ([flips]; [c.flips]
-   stays 0 otherwise): counting always cost a bare U∘SDR ring run
-   (n = 1024, central-random daemon) ~8% of its steps/s on a 2-core
-   x86-64 host, though it does not show once the composed observers are
-   attached. *)
-let refresh ~flips algo g cfg table stamp gen moved c =
+   the step's counts, table flips included: a flip is one physical
+   compare of rule records per eval, within noise on a bare U∘SDR ring
+   run (n = 1024, central-random daemon) on a 2-core x86-64 host. *)
+let refresh algo g cfg table stamp gen moved c =
   c.touched <- 0;
   c.evals <- 0;
   c.flips <- 0;
@@ -86,7 +83,7 @@ let refresh ~flips algo g cfg table stamp gen moved c =
       stamp.(u) <- gen;
       c.evals <- c.evals + 1;
       let after = Algorithm.enabled_rule algo (Algorithm.view g cfg u) in
-      if flips && not (same_entry table.(u) after) then c.flips <- c.flips + 1;
+      if not (same_entry table.(u) after) then c.flips <- c.flips + 1;
       table.(u) <- after
     end
   in
@@ -331,8 +328,7 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(check_overlap = false)
                bump_rule name;
                Hashtbl.remove pending u)
              moved;
-           refresh ~flips:(prof_ctx <> None) algorithm graph next table
-             stamp gen moved counts;
+           refresh algorithm graph next table stamp gen moved counts;
            (match prof_ctx with
            | Some pc ->
                publish_sched pc.sched ~touched:counts.touched

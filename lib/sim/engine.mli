@@ -63,9 +63,9 @@ val run :
     module-level state.
 
     [prof] attaches a {!Ssreset_obs.Prof} profiler.  There is one step
-    loop: it keeps the touch and eval counts in local ints on every run,
-    and only with a profiler attached does it read the clock, compare
-    table entries for [sched.table_flips] and write instruments.  Results
+    loop: it keeps the touch, eval and table-flip counts in local ints on
+    every run, and only with a profiler attached does it read the clock
+    and write instruments.  Results
     are bit-identical either way (asserted over the whole zoo by the test
     suite).  With it present the run attributes wall time to the
     [phase.scan] / [phase.select] / [phase.apply] / [phase.refresh] /

@@ -1,14 +1,21 @@
 (* 32 bits per word: indices stay simple shifts/masks well inside OCaml's
-   63-bit ints, and a level-1 word covers 32·32 = 1024 nodes. *)
+   63-bit ints, and a level-1 word covers 32·32 = 1024 nodes.  [c1.(s)] is
+   the number of members in block [s] (the nodes under level-1 word [s]). *)
 
-type t = { n : int; l0 : int array; l1 : int array }
+type t = { n : int; l0 : int array; l1 : int array; c1 : int array }
 
 let part_align = 1024
 let words n = (n + 31) lsr 5
 
 let create n =
   if n <= 0 then invalid_arg "Bits.create: need n >= 1";
-  { n; l0 = Array.make (words n) 0; l1 = Array.make (words (words n)) 0 }
+  let nb = words (words n) in
+  {
+    n;
+    l0 = Array.make (words n) 0;
+    l1 = Array.make nb 0;
+    c1 = Array.make nb 0;
+  }
 
 let length t = t.n
 let mem t u = (t.l0.(u lsr 5) lsr (u land 31)) land 1 = 1
@@ -19,8 +26,10 @@ let add t u =
   let old = t.l0.(w) in
   if old land b <> 0 then false
   else begin
+    let s = w lsr 5 in
     t.l0.(w) <- old lor b;
-    t.l1.(w lsr 5) <- t.l1.(w lsr 5) lor (1 lsl (w land 31));
+    t.l1.(s) <- t.l1.(s) lor (1 lsl (w land 31));
+    t.c1.(s) <- t.c1.(s) + 1;
     true
   end
 
@@ -30,10 +39,11 @@ let remove t u =
   let old = t.l0.(w) in
   if old land b = 0 then false
   else begin
+    let s = w lsr 5 in
     let now = old lxor b in
     t.l0.(w) <- now;
-    if now = 0 then
-      t.l1.(w lsr 5) <- t.l1.(w lsr 5) land lnot (1 lsl (w land 31));
+    if now = 0 then t.l1.(s) <- t.l1.(s) land lnot (1 lsl (w land 31));
+    t.c1.(s) <- t.c1.(s) - 1;
     true
   end
 
@@ -137,35 +147,34 @@ let count_range t lo hi =
   end;
   !c
 
+(* Block counts first, then at most 32 level-0 popcounts inside the
+   chosen block, then the word's low bits: O(n/1024 + 32). *)
 let nth t i =
   if i < 0 then invalid_arg "Bits.nth";
-  let remaining = ref i in
-  let result = ref (-1) in
-  (try
-     for s = 0 to Array.length t.l1 - 1 do
-       if t.l1.(s) <> 0 then begin
-         let w1 = ref t.l1.(s) in
-         let base = s lsl 5 in
-         while !w1 <> 0 do
-           let k = base + ctz !w1 in
-           let p = popcount t.l0.(k) in
-           if !remaining < p then begin
-             let w = ref t.l0.(k) in
-             while !remaining > 0 do
-               w := !w land (!w - 1);
-               decr remaining
-             done;
-             result := (k lsl 5) + ctz !w;
-             raise Exit
-           end;
-           remaining := !remaining - p;
-           w1 := !w1 land (!w1 - 1)
-         done
-       end
-     done
-   with Exit -> ());
-  if !result < 0 then invalid_arg "Bits.nth: not enough members";
-  !result
+  let nb = Array.length t.c1 in
+  let s = ref 0 and rem = ref i in
+  while !s < nb && !rem >= t.c1.(!s) do
+    rem := !rem - t.c1.(!s);
+    incr s
+  done;
+  if !s = nb then invalid_arg "Bits.nth: not enough members";
+  (* Block [!s] holds more than [!rem] members, so a non-empty word below
+     ends the walk before [w1] runs out. *)
+  let w1 = ref t.l1.(!s) in
+  let k = ref ((!s lsl 5) + ctz !w1) in
+  let p = ref (popcount t.l0.(!k)) in
+  while !rem >= !p do
+    rem := !rem - !p;
+    w1 := !w1 land (!w1 - 1);
+    k := (!s lsl 5) + ctz !w1;
+    p := popcount t.l0.(!k)
+  done;
+  let w = ref t.l0.(!k) in
+  while !rem > 0 do
+    w := !w land (!w - 1);
+    decr rem
+  done;
+  (!k lsl 5) + ctz !w
 
 let next_geq t u =
   if u >= t.n then -1

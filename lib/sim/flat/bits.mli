@@ -4,18 +4,23 @@
     per bit, so iterating a sparse set over a million nodes scans ~1000
     summary words instead of ~31000, and an empty region costs one load.
 
-    No membership count is stored: {!add}/{!remove} report whether they
-    changed the set, and each caller keeps its own count — in partitioned
-    runs every domain owns an aligned slice (see {!part_align}) and
-    maintains a private count, so the structure itself is written
+    Each 1024-node block (the nodes under one level-1 word) also keeps its
+    member count, bumped by {!add}/{!remove} exactly when they change the
+    set, next to the level-1 word they already touch; {!nth} searches
+    those counts first.  There is no whole-set count: {!add}/{!remove}
+    report whether they changed the set, and each caller keeps its own
+    total.  In partitioned runs every domain owns an aligned slice (see
+    {!part_align}), so a block's level-1 word and its count are written
+    only by the domain that owns the block and the structure is updated
     race-free. *)
 
 type t
 
 val part_align : int
 (** Partition boundaries must be multiples of this (32·32 = 1024): a
-    level-1 word then never spans two partitions, and concurrent
-    {!add}/{!remove} from different partitions touch disjoint words. *)
+    level-1 word and its block count then never span two partitions, and
+    concurrent {!add}/{!remove} from different partitions touch disjoint
+    words. *)
 
 val create : int -> t
 (** All-empty set over [0 .. n-1]. *)
@@ -39,8 +44,11 @@ val count_range : t -> int -> int -> int
 (** Popcount over [lo, hi). *)
 
 val nth : t -> int -> int
-(** [nth t i] is the [i]-th smallest member (0-indexed).
-    @raise Invalid_argument when fewer than [i+1] members exist. *)
+(** [nth t i] is the [i]-th smallest member (0-indexed).  Cost
+    O(n/1024 + 32): a scan of the block counts, then at most 32 level-0
+    popcounts inside the chosen block.
+    @raise Invalid_argument when [i < 0] or fewer than [i+1] members
+    exist. *)
 
 val next_geq : t -> int -> int
 (** Smallest member ≥ [u], or [-1]. *)

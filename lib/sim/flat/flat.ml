@@ -90,14 +90,15 @@ let fields p = Array.mapi (fun i name -> (name, p.kinds.(i))) p.field_names
 let rule_names p = p.rule_names
 let has_legitimacy p = p.spec.Sym.sp_legitimate <> None
 
+(* A plain loop: [set_int] runs once per node and field during set-up,
+   where a local recursive closure would allocate on every call. *)
 let field_index p name =
-  let rec go i =
-    if i >= p.nf then
-      invalid_arg (Printf.sprintf "Flat: unknown field %s" name)
-    else if String.equal p.field_names.(i) name then i
-    else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < p.nf && not (String.equal p.field_names.(!i) name) do
+    incr i
+  done;
+  if !i >= p.nf then invalid_arg (Printf.sprintf "Flat: unknown field %s" name);
+  !i
 
 let int_of_value p f (v : Sym.value) =
   match (p.kinds.(f), v) with
@@ -360,7 +361,12 @@ let compute_post p ev r ~dst ~off =
   for f = 0 to p.nf - 1 do
     dst.(off + f) <- p.state.(f).(u)
   done;
-  Array.iter (fun (f, clo) -> dst.(off + f) <- clo ()) ev.assigns.(r)
+  (* An index loop: a capturing closure here would allocate per move. *)
+  let a = ev.assigns.(r) in
+  for j = 0 to Array.length a - 1 do
+    let f, clo = a.(j) in
+    dst.(off + f) <- clo ()
+  done
 
 (* ------------------------------- daemons ------------------------------- *)
 
@@ -751,6 +757,14 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
   let select = make_select p rule_of daemon in
   let cursor = ref 0 in
   let mv = movers_make nf in
+  (* Buffer one mover's post row.  Bound once here: a closure built inside
+     the step loop would allocate every step. *)
+  let push u =
+    let r = rule_of.(u) in
+    movers_push mv nf u r;
+    ev.cell.u <- u;
+    compute_post p ev r ~dst:mv.mp ~off:((mv.len - 1) * nf)
+  in
   let completed_rounds = ref 0 in
   let steps_in_round = ref 0 in
   let steps = ref 0 in
@@ -772,16 +786,11 @@ let run ?rng ?(seed = 0) ?(max_steps = 10_000_000) ?(stop_on_legitimate = true)
        (* Buffer every mover's post row from the pre-state, then write:
           movers act on the pre-state even when they are neighbors. *)
        mv.len <- 0;
-       let push u =
-         let r = rule_of.(u) in
-         movers_push mv nf u r;
-         ev.cell.u <- u;
-         compute_post p ev r ~dst:mv.mp ~off:((mv.len - 1) * nf)
-       in
        (* The common daemons pick straight off the bitset — no per-step
           list materialization, but draw-for-draw the same RNG consumption
-          as lib/sim/daemon.ml ([Bits.nth] walks ascending order, exactly
-          the list the classic daemon indexes into). *)
+          as lib/sim/daemon.ml ([Bits.nth] returns the i-th member in
+          ascending order, exactly the list the classic daemon indexes
+          into, in O(n/1024 + 32) via its block counts). *)
        (match daemon with
        | Synchronous -> Bits.iter enabled push
        | Central_random ->
@@ -998,7 +1007,8 @@ let run_partitioned ?(max_steps = 10_000_000) ?prof ?monitor ?rounds_bound
   let nf = p.nf in
   let nparts = max 1 parts in
   (* Contiguous ranges aligned to Bits.part_align: concurrent bitset
-     updates from different domains touch disjoint words at both levels. *)
+     updates from different domains touch disjoint words at both levels
+     and disjoint block counts. *)
   let chunk =
     let raw = (nn + nparts - 1) / nparts in
     let al = Bits.part_align in

@@ -43,45 +43,50 @@ let init_ground p =
       done)
     (Flat.fields p)
 
-let scramble_node p ranges ~rng u =
-  Array.iter
-    (fun (field, kind) ->
-      match (kind : Flat.kind) with
-      | Flat.KEnum cs ->
-          Flat.set_int p ~field u (Random.State.int rng (Array.length cs))
-      | Flat.KBool -> Flat.set_int p ~field u (Random.State.int rng 2)
-      | Flat.KInt -> (
-          match List.assoc_opt field ranges with
-          | Some (lo, hi) when hi > lo ->
-              Flat.set_int p ~field u (lo + Random.State.full_int rng (hi - lo))
-          | Some _ | None -> ()))
+(* Per field: name, kind and, for an int field, its declared range —
+   resolved once, so the per-node loops below allocate nothing. *)
+let field_plan p =
+  let params = Flat.params p in
+  let ranges =
+    List.map
+      (fun (f, lo, hi) ->
+        (f, (Sym.eval_closed ~params lo, Sym.eval_closed ~params hi)))
+      (Flat.spec p).Sym.sp_ir.Sym.ranges
+  in
+  Array.map
+    (fun (field, kind) -> (field, kind, List.assoc_opt field ranges))
     (Flat.fields p)
 
-let field_ranges p =
-  let params = Flat.params p in
-  List.map
-    (fun (f, lo, hi) ->
-      (f, (Sym.eval_closed ~params lo, Sym.eval_closed ~params hi)))
-    (Flat.spec p).Sym.sp_ir.Sym.ranges
+let scramble_node p plan ~rng u =
+  for i = 0 to Array.length plan - 1 do
+    let field, kind, range = plan.(i) in
+    match ((kind : Flat.kind), range) with
+    | Flat.KEnum cs, _ ->
+        Flat.set_int p ~field u (Random.State.int rng (Array.length cs))
+    | Flat.KBool, _ -> Flat.set_int p ~field u (Random.State.int rng 2)
+    | Flat.KInt, Some (lo, hi) when hi > lo ->
+        Flat.set_int p ~field u (lo + Random.State.full_int rng (hi - lo))
+    | Flat.KInt, _ -> ()
+  done
 
 let perturb p ~rng k =
   let n = Flat.n p in
-  let ranges = field_ranges p in
-  let seen = Hashtbl.create (2 * k) in
+  let plan = field_plan p in
+  let seen = Bytes.make n '\000' in
   let picked = ref 0 in
   while !picked < min k n do
     let u = Random.State.full_int rng n in
-    if not (Hashtbl.mem seen u) then begin
-      Hashtbl.add seen u ();
-      scramble_node p ranges ~rng u;
+    if Bytes.get seen u = '\000' then begin
+      Bytes.set seen u '\001';
+      scramble_node p plan ~rng u;
       incr picked
     end
   done
 
 let init_random p ~rng =
-  let ranges = field_ranges p in
+  let plan = field_plan p in
   for u = 0 to Flat.n p - 1 do
-    scramble_node p ranges ~rng u
+    scramble_node p plan ~rng u
   done
 
 let outcome_string (o : Ssreset_sim.Engine.outcome) =

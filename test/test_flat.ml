@@ -76,6 +76,91 @@ let bits_reference_tests =
         done);
   ]
 
+(* Selection across many blocks: n = 10^5 + 37 spans 98 level-1 blocks of
+   1024 nodes, the last one partial, so [nth] must search the block counts
+   rather than find its member in the first block. *)
+let many_n = 100_037
+
+(* [times] random add/remove in [lo, many_n), adding with probability
+   [p_add]; [r] mirrors the set and [count] its size. *)
+let churn st b r count ~lo ~p_add times =
+  for _ = 1 to times do
+    let u = lo + Random.State.int st (many_n - lo) in
+    if Random.State.float st 1.0 < p_add then begin
+      let changed = Bits.add b u in
+      check_bool "add changed" (not r.(u)) changed;
+      if changed then incr count;
+      r.(u) <- true
+    end
+    else begin
+      let changed = Bits.remove b u in
+      check_bool "remove changed" r.(u) changed;
+      if changed then decr count;
+      r.(u) <- false
+    end
+  done
+
+let sorted_members r =
+  let acc = ref [] in
+  for u = Array.length r - 1 downto 0 do
+    if r.(u) then acc := u :: !acc
+  done;
+  Array.of_list !acc
+
+let raises_invalid label f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no Invalid_argument" label
+  | exception Invalid_argument _ -> ()
+
+(* [nth] at every index in [idx] (plus both ends) against the reference,
+   and out-of-range indices rejected. *)
+let check_nth label b r count idx =
+  let want = sorted_members r in
+  check_int (label ^ " count") (Array.length want) !count;
+  check_int (label ^ " count_range") !count (Bits.count_range b 0 many_n);
+  List.iter
+    (fun i -> check_int (Fmt.str "%s nth %d" label i) want.(i) (Bits.nth b i))
+    (0 :: (!count - 1) :: idx);
+  raises_invalid (label ^ " nth count") (fun () -> Bits.nth b !count);
+  raises_invalid (label ^ " nth -1") (fun () -> Bits.nth b (-1))
+
+let bits_many_blocks_tests =
+  (* The top three full blocks and the partial tail: churn there moves
+     members across block boundaries the count search must follow. *)
+  let high = many_n - (3 * Bits.part_align) - 37 in
+  [
+    test "nth over 98 blocks, sparse (~1%): every index" (fun () ->
+        let b = Bits.create many_n and r = Array.make many_n false in
+        let count = ref 0 and st = rng 7 in
+        churn st b r count ~lo:0 ~p_add:1.0 1000;
+        check_nth "sparse" b r count (List.init !count Fun.id);
+        for round = 1 to 4 do
+          churn st b r count ~lo:high ~p_add:0.4 500;
+          check_nth (Fmt.str "sparse churn %d" round) b r count
+            (List.init !count Fun.id)
+        done);
+    test "nth over 98 blocks, dense (~90%): random sample" (fun () ->
+        let b = Bits.create many_n and r = Array.make many_n false in
+        let count = ref 0 and st = rng 8 in
+        for u = 0 to many_n - 1 do
+          if Random.State.float st 1.0 < 0.9 then begin
+            ignore (Bits.add b u);
+            r.(u) <- true;
+            incr count
+          end
+        done;
+        let sample () = List.init 2000 (fun _ -> Random.State.int st !count) in
+        check_nth "dense" b r count (sample ());
+        for round = 1 to 4 do
+          churn st b r count ~lo:high ~p_add:0.5 20_000;
+          check_nth (Fmt.str "dense churn %d" round) b r count (sample ())
+        done);
+    test "nth on an empty set raises" (fun () ->
+        let b = Bits.create many_n in
+        raises_invalid "empty nth 0" (fun () -> Bits.nth b 0);
+        raises_invalid "empty nth -1" (fun () -> Bits.nth b (-1)));
+  ]
+
 (* ------------------------ streaming CSR generators ---------------------- *)
 
 let csr_equal name a b =
@@ -152,15 +237,23 @@ let counter prof name =
 let sched_names =
   [ "sched.touched"; "sched.evals"; "sched.dedup_hits"; "sched.table_flips" ]
 
-let differential_one ~label inst daemon_name seed =
+(* [~shared_domain]: every node draws from node 0's domain, drawn as from
+   its own (the unison clock domains are node-independent); materializing
+   a 3n-value domain per node would cost O(n^2) on large rings. *)
+let differential_one ~label ?(max_steps = 60) ?(shared_domain = false) inst
+    daemon_name seed =
   let module I = (val inst : Sym.INSTANCE) in
   let g = I.graph in
   let n = Graph.n g in
   let seed_rng = rng (0x5EED + seed) in
+  let d0 = if shared_domain then Array.of_list (I.domain 0) else [||] in
   let cfg0 =
     Array.init n (fun u ->
-        let d = I.domain u in
-        List.nth d (Random.State.int seed_rng (List.length d)))
+        if shared_domain then
+          d0.(Random.State.int seed_rng (Array.length d0))
+        else
+          let d = I.domain u in
+          List.nth d (Random.State.int seed_rng (List.length d)))
   in
   let prog =
     Flat.compile ~csr:(Csr.of_graph g) ~params:I.param_values I.spec
@@ -170,7 +263,7 @@ let differential_one ~label inst daemon_name seed =
   let classic_moved = ref [] in
   let prof_c = Prof.create () and prof_f = Prof.create () in
   let res_c =
-    Engine.run ~rng:(rng seed) ~max_steps:60 ~prof:prof_c ~algorithm:I.algorithm
+    Engine.run ~rng:(rng seed) ~max_steps ~prof:prof_c ~algorithm:I.algorithm
       ~graph:g ~daemon
       ~observer:(fun ~step:_ ~moved _ -> classic_moved := moved :: !classic_moved)
       cfg0
@@ -178,7 +271,7 @@ let differential_one ~label inst daemon_name seed =
   let flat_daemon = Option.get (Flat.daemon_of_name daemon_name) in
   let flat_moved = ref [] in
   let res_f =
-    Flat.run ~rng:(rng seed) ~max_steps:60 ~stop_on_legitimate:false
+    Flat.run ~rng:(rng seed) ~max_steps ~stop_on_legitimate:false
       ~prof:prof_f ~daemon:flat_daemon
       ~on_step:(fun ~step:_ ~moved -> flat_moved := moved :: !flat_moved)
       prog
@@ -208,6 +301,20 @@ let differential_one ~label inst daemon_name seed =
       if not (value_list_equal (I.encode s) (Flat.read prog u)) then
         Alcotest.failf "%s: final state differs at process %d" label u)
     res_c.Engine.final;
+  (* The digest line over the classic run: its counters and the checksum
+     of its final configuration loaded into a fresh program. *)
+  let classic_prog =
+    Flat.compile ~csr:(Csr.of_graph g) ~params:I.param_values I.spec
+  in
+  Array.iteri
+    (fun u s -> Flat.load classic_prog u (I.encode s))
+    res_c.Engine.final;
+  check Alcotest.string (label ^ " digest")
+    (Progs.digest classic_prog
+       { res_f with Flat.outcome = res_c.Engine.outcome;
+         steps = res_c.Engine.steps; moves = res_c.Engine.moves;
+         rounds = res_c.Engine.rounds })
+    (Progs.digest prog res_f);
   match I.is_legitimate with
   | Some legit ->
       check_bool
@@ -232,6 +339,27 @@ let differential_tests =
                   (Daemon.names ()))
               (sym_instances g))
           (graph_zoo ()));
+    (* The zoo never spans more than one 1024-node block; a 4133-node ring
+       spans five, the last partial, so the central daemons' [Bits.nth]
+       picks cross block boundaries. *)
+    test "flat = classic on a 4133-node ring, central daemons, 3000 steps"
+      (fun () ->
+        let e =
+          List.find
+            (fun (e : Registry.entry) ->
+              String.equal e.Registry.name "tail-unison")
+            Registry.entries
+        in
+        let inst = (Option.get e.Registry.sym) (Gen.ring 4133) in
+        List.iter
+          (fun dname ->
+            List.iter
+              (fun seed ->
+                differential_one
+                  ~label:(Fmt.str "ring4133/tail-unison/%s/#%d" dname seed)
+                  ~max_steps:3000 ~shared_domain:true inst dname seed)
+              [ 1; 2 ])
+          [ "central-random"; "central-last" ]);
   ]
 
 (* ------------------------- partition invariance ------------------------- *)
@@ -601,7 +729,7 @@ let scale_tests =
 let () =
   Alcotest.run "flat"
     [
-      ("bits", bits_reference_tests);
+      ("bits", bits_reference_tests @ bits_many_blocks_tests);
       ("csr-generators", csr_generator_tests);
       ("differential", differential_tests);
       ("partitioned", partition_tests);

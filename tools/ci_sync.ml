@@ -43,6 +43,12 @@ let required =
     ( "flat scale smoke, partitioned",
       "run unison --engine flat -g ring -n 100000 --perturb 5000 -d \
        synchronous --parts 2 --digest" );
+    ( "flat scale smoke, central-random",
+      "run unison --engine flat -g ring -n 100000 --perturb 5000 -d \
+       central-random --digest" );
+    ( "central-random scale digest pinned",
+      "outcome=stabilized steps=8127504 moves=8127504 rounds=23 \
+       state=b0e0dde2b7c2e77\" | cmp - smoke-scale-central.txt" );
     ( "partitioned digest byte-comparison",
       "cmp smoke-scale-p1.txt smoke-scale-p2.txt" );
     ( "flat scale smoke, observability attached",
